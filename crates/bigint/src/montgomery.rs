@@ -468,15 +468,8 @@ fn exp_digit(exp: &BigUint, bit: usize, w: usize) -> usize {
 /// Window width for a fixed-base table over exponents of `max_bits`
 /// bits. Build cost is `(bits/w)·(2^w − 1)` multiplies, per-exponent
 /// cost `~bits/w`, so wider windows trade one-time memory/build for
-/// cheaper walks. `PP_FIXED_BASE_WINDOW` (1–8) overrides for tuning.
+/// cheaper walks.
 fn fixed_base_window(max_bits: usize) -> usize {
-    if let Ok(v) = std::env::var("PP_FIXED_BASE_WINDOW") {
-        if let Ok(w) = v.parse::<usize>() {
-            if (1..=8).contains(&w) {
-                return w;
-            }
-        }
-    }
     if max_bits <= 64 {
         3
     } else if max_bits <= 192 {

@@ -1,15 +1,12 @@
 //! Readiness-driven event loop primitives for the serving path
-//! (DESIGN.md §9): a minimal epoll wrapper, an eventfd waker, and an
-//! incremental frame codec for nonblocking sockets.
+//! (DESIGN.md §9): a `poll(2)` readiness set, a socketpair waker, and
+//! an incremental frame codec for nonblocking sockets.
 //!
-//! The repository vendors no FFI crates, so the three kernel interfaces
-//! this module needs — `epoll_create1`/`epoll_ctl`/`epoll_pwait`,
-//! `eventfd2`, and raw `read`/`write` on the eventfd — are invoked as
-//! raw syscalls via inline assembly, gated to the platforms whose
-//! syscall ABI is stable and documented (Linux on x86_64 and aarch64).
-//! Everywhere else [`supported`] returns `false` and
-//! `ModelProvider::serve_forever` falls back to the legacy threaded
-//! supervisor, so the crate still builds and serves on any platform.
+//! The repository vendors no FFI crates; the one kernel interface this
+//! module needs beyond `std` is `poll(2)`, declared in a plain
+//! `extern "C"` block against the libc that `std` already links. A
+//! wake-up scans every registered fd, which is noise next to the tens
+//! of milliseconds of multi-exponentiation one linear round costs.
 //!
 //! The codec half ([`FrameReader`]/[`WriteBuf`]) speaks exactly the
 //! blocking transport's wire format
@@ -25,190 +22,155 @@
 use pp_stream_runtime::link::{Frame, SeqValidator, NO_DEADLINE};
 use pp_stream_runtime::{tcp, StreamError, TransportErrorKind};
 
-/// Whether this build can run the readiness event loop.
-pub const fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
-
 // ---------------------------------------------------------------------------
-// Raw syscalls (Linux x86_64 / aarch64)
+// Readiness backend: poll(2) + socketpair waker
 // ---------------------------------------------------------------------------
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(unix)]
 mod sys {
-    use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd};
+    use parking_lot::Mutex;
+    use std::ffi::c_int;
+    use std::io::{self, ErrorKind, Read, Write};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    #[cfg(target_arch = "x86_64")]
-    mod nr {
-        pub const READ: usize = 0;
-        pub const WRITE: usize = 1;
-        pub const EPOLL_CTL: usize = 233;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EVENTFD2: usize = 290;
-        pub const EPOLL_CREATE1: usize = 291;
-    }
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const READ: usize = 63;
-        pub const WRITE: usize = 64;
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const EVENTFD2: usize = 19;
-        pub const EPOLL_CREATE1: usize = 20;
+    /// `struct pollfd`; the layout and the event bits below are the
+    /// same on every Unix.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct PollFd {
+        fd: c_int,
+        events: i16,
+        revents: i16,
     }
 
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(n: usize, a: [usize; 6]) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") a[0], in("rsi") a[1], in("rdx") a[2],
-            in("r10") a[3], in("r8") a[4], in("r9") a[5],
-            lateout("rcx") _, lateout("r11") _,
-            options(nostack),
-        );
-        ret
+    const POLLIN: i16 = 0x001;
+    const POLLOUT: i16 = 0x004;
+    const POLLERR: i16 = 0x008;
+    const POLLHUP: i16 = 0x010;
+    const POLLNVAL: i16 = 0x020;
+
+    /// `nfds_t` is `unsigned long` on Linux and `unsigned int` on the
+    /// BSD family (macOS included).
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     }
 
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(n: usize, a: [usize; 6]) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "svc 0",
-            inlateout("x0") a[0] as isize => ret,
-            in("x1") a[1], in("x2") a[2], in("x3") a[3],
-            in("x4") a[4], in("x5") a[5], in("x8") n,
-            options(nostack),
-        );
-        ret
+    /// The registered fds and, at the same index, their tokens.
+    #[derive(Default)]
+    struct Registry {
+        fds: Vec<PollFd>,
+        tokens: Vec<u64>,
     }
 
-    fn check(ret: isize) -> io::Result<usize> {
-        if ret < 0 {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret as usize)
+    impl Registry {
+        fn position(&self, fd: i32) -> io::Result<usize> {
+            self.fds
+                .iter()
+                .position(|p| p.fd == fd)
+                .ok_or_else(|| io::Error::new(ErrorKind::NotFound, "fd is not registered"))
         }
     }
 
-    const EPOLL_CLOEXEC: usize = 0o2000000;
-    const EFD_CLOEXEC: usize = 0o2000000;
-    const EFD_NONBLOCK: usize = 0o4000;
-
-    const EPOLL_CTL_ADD: usize = 1;
-    const EPOLL_CTL_DEL: usize = 2;
-    const EPOLL_CTL_MOD: usize = 3;
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    /// `struct epoll_event`: packed on x86_64, natural alignment on
-    /// every other architecture — the kernel ABI differs exactly there.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    /// Read interest is always on (every connection is waiting for its
+    /// peer's next frame); write interest only while a write buffer is
+    /// non-empty.
+    fn interest(writable: bool) -> i16 {
+        if writable {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        }
     }
 
-    /// One epoll instance (level-triggered).
+    /// One level-triggered readiness set over `poll(2)`.
+    #[derive(Default)]
     pub struct Poller {
-        epfd: OwnedFd,
+        registry: Mutex<Registry>,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            let fd = check(unsafe {
-                syscall6(nr::EPOLL_CREATE1, [EPOLL_CLOEXEC, 0, 0, 0, 0, 0])
-            })?;
-            // SAFETY: epoll_create1 returned a fresh fd we own.
-            Ok(Poller { epfd: unsafe { OwnedFd::from_raw_fd(fd as i32) } })
-        }
-
-        fn ctl(&self, op: usize, fd: i32, events: u32, token: u64) -> io::Result<()> {
-            use std::os::fd::AsRawFd;
-            let mut ev = EpollEvent { events, data: token };
-            let evp = if op == EPOLL_CTL_DEL { 0 } else { &mut ev as *mut EpollEvent as usize };
-            check(unsafe {
-                syscall6(
-                    nr::EPOLL_CTL,
-                    [self.epfd.as_raw_fd() as usize, op, fd as usize, evp, 0, 0],
-                )
-            })
-            .map(|_| ())
+        pub fn new() -> Poller {
+            Poller::default()
         }
 
         pub fn add(&self, fd: i32, token: u64, writable: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, Self::mask(writable), token)
+            let mut reg = self.registry.lock();
+            if fd < 0 || reg.position(fd).is_ok() {
+                return Err(io::Error::new(
+                    ErrorKind::InvalidInput,
+                    "fd is negative or already registered",
+                ));
+            }
+            reg.fds.push(PollFd { fd, events: interest(writable), revents: 0 });
+            reg.tokens.push(token);
+            Ok(())
         }
 
         pub fn modify(&self, fd: i32, token: u64, writable: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, Self::mask(writable), token)
+            let mut reg = self.registry.lock();
+            let i = reg.position(fd)?;
+            reg.fds[i].events = interest(writable);
+            reg.tokens[i] = token;
+            Ok(())
         }
 
         pub fn delete(&self, fd: i32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+            let mut reg = self.registry.lock();
+            let i = reg.position(fd)?;
+            reg.fds.swap_remove(i);
+            reg.tokens.swap_remove(i);
+            Ok(())
         }
 
-        /// Read interest is always on (every connection is waiting for
-        /// its peer's next frame); write interest only while a write
-        /// buffer is non-empty.
-        fn mask(writable: bool) -> u32 {
-            let mut m = EPOLLIN | EPOLLRDHUP;
-            if writable {
-                m |= EPOLLOUT;
-            }
-            m
-        }
-
-        /// Blocks until readiness or `timeout` (`None` = indefinitely).
+        /// Blocks until readiness or `timeout` (`None` = indefinitely)
+        /// and reports every ready fd. The registry is copied out first,
+        /// so a registration from another thread never waits behind a
+        /// parked `wait`; it takes effect at the next call (pair it with
+        /// a [`Waker`]).
         pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            use std::os::fd::AsRawFd;
             out.clear();
-            let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-            let timeout_ms: isize = match timeout {
-                // Round up so a 100µs timer doesn't busy-spin at 0ms.
-                Some(t) => t.as_millis().min(i32::MAX as u128) as isize + 1,
-                None => -1,
+            let (mut fds, tokens) = {
+                let reg = self.registry.lock();
+                (reg.fds.clone(), reg.tokens.clone())
             };
-            let n = loop {
-                let ret = unsafe {
-                    syscall6(
-                        nr::EPOLL_PWAIT,
-                        [
-                            self.epfd.as_raw_fd() as usize,
-                            events.as_mut_ptr() as usize,
-                            events.len(),
-                            timeout_ms as usize,
-                            0, // no sigmask
-                            8, // sigsetsize
-                        ],
-                    )
+            let deadline = timeout.map(|t| Instant::now() + t);
+            loop {
+                let timeout_ms: c_int = match deadline {
+                    // Round up so a 100µs timer doesn't busy-spin at 0ms.
+                    Some(d) => {
+                        let left = d.saturating_duration_since(Instant::now());
+                        left.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
+                    }
+                    None => -1,
                 };
-                match check(ret) {
-                    Ok(n) => break n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
+                // SAFETY: `fds` is an exclusively borrowed, live slice of
+                // `fds.len()` `#[repr(C)]` pollfd records; poll(2) writes
+                // only their `revents` fields.
+                let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
+                if ret >= 0 {
+                    break;
                 }
-            };
-            for ev in events.iter().take(n) {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0,
-                    writable: bits & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0,
-                });
+                let e = io::Error::last_os_error();
+                if e.kind() != ErrorKind::Interrupted {
+                    return Err(e);
+                }
+            }
+            for (p, &token) in fds.iter().zip(&tokens) {
+                if p.revents != 0 {
+                    out.push(Event {
+                        token,
+                        readable: p.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0,
+                        writable: p.revents & (POLLOUT | POLLHUP | POLLERR) != 0,
+                    });
+                }
             }
             Ok(())
         }
@@ -222,105 +184,44 @@ mod sys {
         pub writable: bool,
     }
 
-    /// Cross-thread wakeup for a [`Poller`]: an eventfd registered like
-    /// any other fd. Cloneable and cheap to signal.
+    /// Cross-thread wakeup for a [`Poller`]: a nonblocking socketpair
+    /// whose read end is registered like any other fd. Cloneable and
+    /// cheap to signal.
     #[derive(Clone)]
     pub struct Waker {
-        fd: Arc<OwnedFd>,
+        /// `(read end, write end)`.
+        pair: Arc<(UnixStream, UnixStream)>,
     }
 
     impl Waker {
         pub fn new() -> io::Result<Waker> {
-            let fd = check(unsafe {
-                syscall6(nr::EVENTFD2, [0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0])
-            })?;
-            // SAFETY: eventfd2 returned a fresh fd we own.
-            Ok(Waker { fd: Arc::new(unsafe { OwnedFd::from_raw_fd(fd as i32) }) })
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            Ok(Waker { pair: Arc::new((rx, tx)) })
         }
 
+        /// The fd to register with the poller.
         pub fn raw_fd(&self) -> i32 {
-            use std::os::fd::AsRawFd;
-            self.fd.as_raw_fd()
+            self.pair.0.as_raw_fd()
         }
 
-        /// Signals the poller. Never blocks: a counter about to
-        /// overflow (EAGAIN) already guarantees a pending wakeup.
+        /// Signals the poller. Never blocks: a full socket buffer
+        /// (`WouldBlock`) already guarantees a pending wakeup.
         pub fn wake(&self) {
-            let one = 1u64.to_ne_bytes();
-            let _ = unsafe {
-                syscall6(
-                    nr::WRITE,
-                    [self.raw_fd() as usize, one.as_ptr() as usize, 8, 0, 0, 0],
-                )
-            };
+            let _ = (&self.pair.1).write(&[1]);
         }
 
-        /// Clears the pending-wakeup counter (called by the woken
-        /// thread; the eventfd is level-triggered until read).
+        /// Clears every pending wakeup (called by the woken thread; the
+        /// read end stays ready until emptied).
         pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            let _ = unsafe {
-                syscall6(
-                    nr::READ,
-                    [self.raw_fd() as usize, buf.as_mut_ptr() as usize, 8, 0, 0, 0],
-                )
-            };
+            let mut buf = [0u8; 64];
+            while matches!((&self.pair.0).read(&mut buf), Ok(n) if n == buf.len()) {}
         }
     }
 }
 
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-mod sys {
-    //! Stub for platforms without the raw-syscall shim: [`supported`]
-    //! is `false` there, `serve_forever` takes the threaded path, and
-    //! none of these are ever constructed — they exist so `net.rs`
-    //! needs no `cfg` forest.
-    use std::io;
-    use std::time::Duration;
-
-    pub struct Poller {}
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "event loop unsupported here"))
-        }
-        pub fn add(&self, _fd: i32, _token: u64, _writable: bool) -> io::Result<()> {
-            unreachable!("stub poller is never constructed")
-        }
-        pub fn modify(&self, _fd: i32, _token: u64, _writable: bool) -> io::Result<()> {
-            unreachable!("stub poller is never constructed")
-        }
-        pub fn delete(&self, _fd: i32) -> io::Result<()> {
-            unreachable!("stub poller is never constructed")
-        }
-        pub fn wait(&self, _out: &mut Vec<Event>, _timeout: Option<Duration>) -> io::Result<()> {
-            unreachable!("stub poller is never constructed")
-        }
-    }
-
-    #[derive(Clone, Copy, Debug)]
-    pub struct Event {
-        pub token: u64,
-        pub readable: bool,
-        pub writable: bool,
-    }
-
-    /// No-op waker so `ServerHandle` can hold wakers unconditionally.
-    #[derive(Clone)]
-    pub struct Waker {}
-
-    impl Waker {
-        pub fn new() -> io::Result<Waker> {
-            Ok(Waker {})
-        }
-        pub fn raw_fd(&self) -> i32 {
-            -1
-        }
-        pub fn wake(&self) {}
-        pub fn drain(&self) {}
-    }
-}
-
+#[cfg(unix)]
 pub use sys::{Event, Poller, Waker};
 
 // ---------------------------------------------------------------------------
@@ -483,8 +384,6 @@ impl WriteBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(unused_imports)]
-    use std::time::Duration;
 
     fn frame_bytes(seq: u64, deadline: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -592,61 +491,126 @@ mod tests {
         assert_eq!((b.seq, &b.payload[..]), (1, &b"second"[..]));
     }
 
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    #[test]
-    fn poller_observes_readiness_and_waker_wakes() {
-        use std::io::Write;
+    #[cfg(unix)]
+    mod poller {
+        use super::super::{Poller, Waker};
+        use std::io::{Read, Write};
         use std::os::fd::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        use std::time::{Duration, Instant};
 
-        assert!(supported());
-        let poller = Poller::new().expect("epoll");
-        let waker = Waker::new().expect("eventfd");
-        poller.add(waker.raw_fd(), 0, false).expect("register waker");
+        const SHORT: Option<Duration> = Some(Duration::from_millis(5));
+        const LONG: Option<Duration> = Some(Duration::from_secs(5));
 
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        listener.set_nonblocking(true).expect("nonblocking");
-        poller.add(listener.as_raw_fd(), 1, false).expect("register listener");
+        #[test]
+        fn reports_read_and_write_readiness_and_modify_toggles_write_interest() {
+            let (mut a, b) = UnixStream::pair().expect("pair");
+            let poller = Poller::new();
+            poller.add(b.as_raw_fd(), 7, false).expect("register");
+            let mut events = Vec::new();
 
-        // Nothing ready yet: a bounded wait returns empty.
-        let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_millis(5))).expect("wait");
-        assert!(events.is_empty(), "nothing should be ready");
+            poller.wait(&mut events, SHORT).expect("wait");
+            assert!(events.is_empty(), "idle socket, read interest only: {events:?}");
 
-        // A connect makes the listener readable.
-        let mut client = std::net::TcpStream::connect(addr).expect("connect");
-        poller.wait(&mut events, Some(Duration::from_millis(500))).expect("wait");
-        assert!(events.iter().any(|e| e.token == 1 && e.readable), "accept readiness");
-        let (stream, _) = listener.accept().expect("accept");
-        stream.set_nonblocking(true).expect("nonblocking");
-        poller.add(stream.as_raw_fd(), 2, false).expect("register conn");
+            // An empty send buffer is writable as soon as anyone asks.
+            poller.modify(b.as_raw_fd(), 7, true).expect("want write");
+            poller.wait(&mut events, LONG).expect("wait");
+            assert_eq!(events.len(), 1);
+            assert!(events[0].token == 7 && events[0].writable && !events[0].readable);
 
-        // Data on the connection is reported against its token.
-        client.write_all(b"ping").expect("send");
-        poller.wait(&mut events, Some(Duration::from_millis(500))).expect("wait");
-        assert!(events.iter().any(|e| e.token == 2 && e.readable), "read readiness");
+            poller.modify(b.as_raw_fd(), 7, false).expect("drop write interest");
+            poller.wait(&mut events, SHORT).expect("wait");
+            assert!(events.is_empty(), "write interest is off again: {events:?}");
 
-        // Drain the pending bytes: level-triggered epoll would
-        // otherwise keep reporting the connection and the indefinite
-        // wait below would return before the waker fires.
-        let mut buf = [0u8; 16];
-        use std::io::Read;
-        let mut conn = &stream;
-        assert_eq!(conn.read(&mut buf).expect("drain"), 4);
+            a.write_all(b"ping").expect("send");
+            poller.wait(&mut events, LONG).expect("wait");
+            assert!(events.len() == 1 && events[0].token == 7 && events[0].readable);
 
-        // A waker from another thread interrupts an indefinite wait.
-        let w2 = waker.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            w2.wake();
-        });
-        loop {
-            poller.wait(&mut events, None).expect("wait");
-            if events.iter().any(|e| e.token == 0 && e.readable) {
-                break;
-            }
+            // Level-triggered: unread bytes are reported again.
+            poller.wait(&mut events, LONG).expect("wait");
+            assert!(events.len() == 1 && events[0].readable);
+
+            // A closed peer is readable (the read then returns EOF).
+            let mut buf = [0u8; 8];
+            assert_eq!((&b).read(&mut buf).expect("drain"), 4);
+            drop(a);
+            poller.wait(&mut events, LONG).expect("wait");
+            assert!(events.len() == 1 && events[0].readable);
+            assert_eq!((&b).read(&mut buf).expect("eof"), 0);
         }
-        waker.drain();
-        t.join().expect("waker thread");
+
+        #[test]
+        fn deleted_fd_reports_nothing_further_and_registration_errors_are_named() {
+            let (mut a, b) = UnixStream::pair().expect("pair");
+            let poller = Poller::new();
+            poller.add(b.as_raw_fd(), 1, false).expect("register");
+            assert!(poller.add(b.as_raw_fd(), 2, false).is_err(), "double registration");
+            a.write_all(b"x").expect("send");
+            let mut events = Vec::new();
+            poller.wait(&mut events, LONG).expect("wait");
+            assert_eq!(events.len(), 1);
+
+            poller.delete(b.as_raw_fd()).expect("delete");
+            poller.wait(&mut events, SHORT).expect("wait");
+            assert!(events.is_empty(), "a deleted fd is never reported: {events:?}");
+            assert!(poller.delete(b.as_raw_fd()).is_err(), "already gone");
+            assert!(poller.modify(b.as_raw_fd(), 1, true).is_err(), "already gone");
+        }
+
+        #[test]
+        fn one_wait_reports_more_than_64_ready_fds() {
+            let poller = Poller::new();
+            let pairs: Vec<(UnixStream, UnixStream)> =
+                (0..100).map(|_| UnixStream::pair().expect("pair")).collect();
+            for (i, (a, b)) in pairs.iter().enumerate() {
+                poller.add(b.as_raw_fd(), i as u64, false).expect("register");
+                (&*a).write_all(b"x").expect("send");
+            }
+            let mut events = Vec::new();
+            poller.wait(&mut events, LONG).expect("wait");
+            let mut tokens: Vec<u64> = events.iter().map(|e| e.token).collect();
+            tokens.sort_unstable();
+            assert_eq!(tokens, (0..100).collect::<Vec<u64>>(), "every ready fd, each once");
+            assert!(events.iter().all(|e| e.readable));
+        }
+
+        #[test]
+        fn wait_returns_empty_once_the_timeout_expires() {
+            let (_a, b) = UnixStream::pair().expect("pair");
+            let poller = Poller::new();
+            poller.add(b.as_raw_fd(), 1, false).expect("register");
+            let mut events = Vec::new();
+            let t0 = Instant::now();
+            poller.wait(&mut events, Some(Duration::from_millis(30))).expect("wait");
+            assert!(events.is_empty());
+            assert!(t0.elapsed() >= Duration::from_millis(30), "returned early: {:?}", t0.elapsed());
+        }
+
+        #[test]
+        fn waker_unblocks_an_indefinite_wait_and_wakes_coalesce() {
+            let poller = Poller::new();
+            let waker = Waker::new().expect("socketpair");
+            poller.add(waker.raw_fd(), 0, false).expect("register waker");
+            let mut events = Vec::new();
+
+            // Whether the wake lands before or after the wait parks, the
+            // wait must return with the waker's token.
+            let remote = waker.clone();
+            let t = std::thread::spawn(move || remote.wake());
+            poller.wait(&mut events, None).expect("wait");
+            assert!(events.len() == 1 && events[0].token == 0 && events[0].readable);
+            t.join().expect("waker thread");
+
+            // Many wakes are one readiness event, and one drain clears
+            // them all (more than the drain's 64-byte read at once).
+            for _ in 0..200 {
+                waker.wake();
+            }
+            poller.wait(&mut events, LONG).expect("wait");
+            assert_eq!(events.len(), 1);
+            waker.drain();
+            poller.wait(&mut events, SHORT).expect("wait");
+            assert!(events.is_empty(), "drain must clear every pending wake: {events:?}");
+        }
     }
 }

@@ -63,9 +63,11 @@ pub use encctx::EncCtx;
 pub use governor::{Governor, GovernorConfig};
 pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
 pub use messages::{ItemErrorKind, RejectCode};
+#[cfg(unix)]
+pub use net::ServerHandle;
 pub use net::{
     ItemOutcome, ModelProvider, NetConfig, NetworkedSession, ServeOptions, ServeReport,
-    ServerHandle, TransportReport,
+    TransportReport,
 };
 pub use packed::{required_budget, PackedEncCtx};
 #[cfg(feature = "fault-injection")]

@@ -79,7 +79,7 @@ use pp_paillier::{Keypair, PublicKey, RandomnessPool};
 #[cfg(feature = "fault-injection")]
 use pp_stream_runtime::fault::{FaultPlan, FaultReceiver, FaultSender, FaultState};
 use pp_stream_runtime::link::Frame;
-use pp_stream_runtime::wire::{from_frame, to_frame};
+use pp_stream_runtime::wire::{from_frame, to_frame, WireEncode};
 use pp_stream_runtime::{
     tcp, FrameReceiver, FrameSender, StreamError, TcpConfig, TcpFrameReceiver, TcpFrameSender,
     TransportErrorKind, WorkerPool,
@@ -95,7 +95,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::evloop;
+#[cfg(unix)]
+pub use ev::ServerHandle;
 
 /// Configuration shared by both ends of a deployment.
 #[derive(Clone, Debug)]
@@ -862,8 +863,8 @@ enum ConnOutcome {
 // One served connection is a state machine over decoded frames: opening
 // frame -> `open_conn`, every later frame -> `on_frame`, and each
 // linear-round execution -> `run_job` + `on_exec_done`. The blocking
-// `handle_conn` driver and the readiness event loop both run this exact
-// machine, so the two serving paths cannot drift apart semantically —
+// `handle_conn` shell and the readiness event loop both run this exact
+// machine, so the two cannot drift apart semantically —
 // the event loop only changes *when* frames arrive and *where* jobs
 // execute (inline on a shard, or coalesced across sessions in the
 // batcher), never what they mean.
@@ -877,6 +878,17 @@ struct Reply {
     /// Reject frames are fire-and-forget — the peer may already be gone
     /// and a send failure must not fail the server-side bookkeeping.
     best_effort: bool,
+}
+
+impl Reply {
+    /// Encodes `msg` as a reply the peer must receive, and charges it
+    /// to the byte/frame counters.
+    fn new<T: WireEncode>(report: &mut ServeReport, msg: &T, context: String) -> Reply {
+        let payload = to_frame(msg);
+        report.bytes_out += payload.len() as u64;
+        report.frames_out += 1;
+        Reply { payload, context, best_effort: false }
+    }
 }
 
 /// Per-connection serving state after an accepted Hello/Resume.
@@ -934,25 +946,21 @@ enum JobKind {
     Packed { msg: PackedTensorMsg },
 }
 
-/// Identity of a job, kept by the driver while the job runs.
-enum JobMeta {
-    Item { seq: u64, round: usize },
-    Packed { key: u64, members: u64, round: usize },
-}
+/// A stage's output, still wrapped in the stage's own error type; the
+/// outer `Err` carries a trapped panic payload (the poison-item
+/// boundary).
+type Executed<T> = std::thread::Result<Result<T, StreamError>>;
 
-/// Execution output, still wrapped in the stage's own error type.
-enum ExecOut {
-    Item(Result<EncTensorMsg, StreamError>),
-    Packed(Result<PackedTensorMsg, StreamError>),
+/// A finished job: which request or batch it served, and what came out.
+enum JobDone {
+    Item { seq: u64, round: usize, out: Executed<EncTensorMsg> },
+    Packed { key: u64, members: u64, round: usize, out: Executed<PackedTensorMsg> },
 }
-
-/// `Err` carries a trapped panic payload (the poison-item boundary).
-type ExecOutcome = std::thread::Result<ExecOut>;
 
 /// Runs one admitted job on `pool`, trapping panics. Pure compute: no
 /// session or report state is touched, which is what makes the job safe
 /// to ship to the cross-session batcher.
-fn run_job(job: ExecJob, pool: &WorkerPool) -> (JobMeta, ExecOutcome) {
+fn run_job(job: ExecJob, pool: &WorkerPool) -> JobDone {
     #[cfg(feature = "fault-injection")]
     let poison = job.poison;
     let ExecJob { round, kind, execs, .. } = job;
@@ -960,28 +968,33 @@ fn run_job(job: ExecJob, pool: &WorkerPool) -> (JobMeta, ExecOutcome) {
     match kind {
         JobKind::Item { msg } => {
             let seq = msg.seq;
-            let outcome = catch_unwind(AssertUnwindSafe(move || {
+            let out = catch_unwind(AssertUnwindSafe(move || {
                 #[cfg(feature = "fault-injection")]
                 if poison {
                     panic!("injected poison item {seq}");
                 }
-                ExecOut::Item(exec.execute(msg, pool))
+                exec.execute(msg, pool)
             }));
-            (JobMeta::Item { seq, round }, outcome)
+            JobDone::Item { seq, round, out }
         }
         JobKind::Packed { msg } => {
             let key = msg.seqs[0];
             let members = msg.seqs.len() as u64;
-            let outcome = catch_unwind(AssertUnwindSafe(move || {
+            let out = catch_unwind(AssertUnwindSafe(move || {
                 #[cfg(feature = "fault-injection")]
                 if poison {
                     panic!("injected poison item in packed batch {key}");
                 }
-                ExecOut::Packed(packed::execute_packed_linear(exec, msg))
+                packed::execute_packed_linear(exec, msg)
             }));
-            (JobMeta::Packed { key, members, round }, outcome)
+            JobDone::Packed { key, members, round, out }
         }
     }
+}
+
+/// A socket set-up failure as this crate's error.
+fn io_failure(kind: TransportErrorKind, what: &str, e: std::io::Error) -> CoreError {
+    CoreError::from(StreamError::transport(kind, format!("{what}: {e}")))
 }
 
 /// Sends queued replies over the blocking transport. Best-effort
@@ -1011,9 +1024,6 @@ pub struct ModelProvider {
     /// Per-session cap on items with linear rounds in flight; round-0
     /// arrivals beyond it are shed ([`NetConfig::max_inflight_items`]).
     max_inflight: usize,
-    /// Concurrent busy-rejecter threads (legacy threaded supervisor
-    /// only; the event loop folds rejection into its shards).
-    rejecters: AtomicUsize,
     /// Per-connection resource limits and global buffered-bytes
     /// accounting ([`NetConfig::governor`]).
     governor: Governor,
@@ -1027,14 +1037,8 @@ pub struct ModelProvider {
     poison_seq: Option<u64>,
 }
 
-/// Ceiling on concurrent detached busy-rejecter threads in the legacy
-/// threaded supervisor. A flood beyond it closes connections unanswered
-/// instead of spawning without bound.
-const MAX_REJECTERS: usize = 32;
-
 /// How long a busy rejection may wait for the client's hello before the
-/// connection is abandoned — bounds slow-loris floods on both serving
-/// paths.
+/// connection is abandoned — bounds slow-loris floods.
 const REJECT_DRAIN_BOUND: Duration = Duration::from_secs(2);
 
 impl ModelProvider {
@@ -1057,7 +1061,6 @@ impl ModelProvider {
             tcp: config.tcp.clone(),
             sessions: SessionTable::new(config.session_ttl, config.session_capacity),
             max_inflight: config.max_inflight_items,
-            rejecters: AtomicUsize::new(0),
             governor: Governor::new(config.governor.unwrap_or_default()),
             max_stage_elems,
             #[cfg(feature = "fault-injection")]
@@ -1114,15 +1117,11 @@ impl ModelProvider {
         &self,
         addr: impl ToSocketAddrs,
     ) -> Result<(ServeReport, SocketAddr), CoreError> {
-        let listener = TcpListener::bind(addr).map_err(|e| {
-            CoreError::from(StreamError::transport(TransportErrorKind::Bind, format!("bind: {e}")))
-        })?;
-        let local = listener.local_addr().map_err(|e| {
-            CoreError::from(StreamError::transport(
-                TransportErrorKind::Bind,
-                format!("local addr: {e}"),
-            ))
-        })?;
+        let listener =
+            TcpListener::bind(addr).map_err(|e| io_failure(TransportErrorKind::Bind, "bind", e))?;
+        let local = listener
+            .local_addr()
+            .map_err(|e| io_failure(TransportErrorKind::Bind, "local addr", e))?;
         let report = self.serve_listener(&listener)?;
         Ok((report, local))
     }
@@ -1152,220 +1151,6 @@ impl ModelProvider {
         }
     }
 
-    /// Supervised multi-client serving: accepts connections on
-    /// `listener` until [`ServerHandle::shutdown`].
-    ///
-    /// Where the platform supports it (Linux on x86_64/aarch64) this
-    /// runs the readiness-driven event loop of DESIGN.md §9: one
-    /// acceptor plus [`ServeOptions::max_workers`] shard threads
-    /// multiplexing nonblocking sockets over epoll, so an idle session
-    /// costs a registered fd instead of a parked thread and shutdown is
-    /// a wakeup instead of a poll. [`ServeOptions::gather_window`]
-    /// additionally coalesces linear rounds from *different* sessions
-    /// into fused dispatches. Elsewhere — or with
-    /// [`ServeOptions::legacy_threaded`] / `PP_EVLOOP=0` — each
-    /// connection gets a worker thread, bounded by `max_workers`, and
-    /// idle accepts poll at [`ServeOptions::poll_interval`].
-    ///
-    /// Either way a per-connection panic or error is isolated and
-    /// counted, and shutdown stops accepting then drains in-flight
-    /// connections (blocking until their clients close or time out, so
-    /// configure read timeouts for unattended deployments).
-    pub fn serve_forever(
-        self: &Arc<Self>,
-        listener: TcpListener,
-        options: ServeOptions,
-    ) -> Result<ServerHandle, CoreError> {
-        let addr = listener.local_addr().map_err(|e| {
-            CoreError::from(StreamError::transport(
-                TransportErrorKind::Bind,
-                format!("local addr: {e}"),
-            ))
-        })?;
-        listener.set_nonblocking(true).map_err(|e| {
-            CoreError::from(StreamError::transport(
-                TransportErrorKind::Setup,
-                format!("nonblocking listener: {e}"),
-            ))
-        })?;
-        if let Some(cfg) = &options.journal {
-            // A journal opened directly via `open_journal` (e.g. to
-            // inspect the restored-session count first) stays armed;
-            // only open here if nobody did.
-            if self.sessions.journal.lock().is_none() {
-                self.open_journal(cfg)?;
-            }
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let provider = Arc::clone(self);
-        let env_off = match std::env::var_os("PP_EVLOOP") {
-            Some(v) => v == "0",
-            None => false,
-        };
-        let use_evloop = evloop::supported() && !options.legacy_threaded && !env_off;
-        // Wakers must exist before the supervisor thread spawns so
-        // `ServerHandle::shutdown` can interrupt waits immediately:
-        // one for the acceptor, one per shard.
-        let mut wakers = Vec::new();
-        if use_evloop {
-            for _ in 0..options.max_workers.max(1) + 1 {
-                match evloop::Waker::new() {
-                    Ok(w) => wakers.push(w),
-                    // fd pressure: fall back to the threaded supervisor
-                    Err(_) => {
-                        wakers.clear();
-                        break;
-                    }
-                }
-            }
-        }
-        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        let thread = if use_evloop && !wakers.is_empty() {
-            let wakers = wakers.clone();
-            std::thread::spawn(move || {
-                provider.supervise_evloop(listener, options, stop_flag, wakers)
-            })
-        } else {
-            std::thread::spawn(move || provider.supervise(listener, options, stop_flag))
-        };
-        #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-        let thread = std::thread::spawn(move || provider.supervise(listener, options, stop_flag));
-        Ok(ServerHandle { stop, addr, thread, wakers })
-    }
-
-    /// The accept/supervise loop behind [`ModelProvider::serve_forever`].
-    /// Idle waits go through [`sleep_observing_stop`], so a coarse
-    /// [`ServeOptions::poll_interval`] cannot delay shutdown: the stop
-    /// flag is observed within one slice, not one full interval.
-    fn supervise(
-        self: Arc<Self>,
-        listener: TcpListener,
-        options: ServeOptions,
-        stop: Arc<AtomicBool>,
-    ) -> ServeReport {
-        let mut report = ServeReport::default();
-        let (done_tx, done_rx) = mpsc::channel::<WorkerDone>();
-        let mut active = 0usize;
-        let max_workers = options.max_workers.max(1);
-        while !stop.load(Ordering::Relaxed) {
-            while let Ok(done) = done_rx.try_recv() {
-                active -= 1;
-                absorb_worker(&mut report, done);
-            }
-            // Admission control: at the session cap — or while buffered
-            // bytes exceed the governor's global memory budget — refuse
-            // newcomers with a Busy reply instead of queueing them.
-            let over_budget = self.governor.over_budget();
-            if options.max_sessions.is_some_and(|cap| active >= cap) || over_budget {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        report.connections += 1;
-                        if over_budget {
-                            report.budget_rejected += 1;
-                        } else {
-                            report.rejected_busy += 1;
-                        }
-                        self.reject_busy(stream, active, options.retry_after);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        sleep_observing_stop(&stop, options.poll_interval);
-                    }
-                    Err(e) => {
-                        report.failed_connections += 1;
-                        report.last_error = Some(format!("accept: {e}"));
-                        sleep_observing_stop(&stop, options.poll_interval);
-                    }
-                }
-                continue;
-            }
-            if active >= max_workers {
-                sleep_observing_stop(&stop, options.poll_interval);
-                continue;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    report.connections += 1;
-                    active += 1;
-                    let provider = Arc::clone(&self);
-                    let done_tx = done_tx.clone();
-                    std::thread::spawn(move || {
-                        let done = catch_unwind(AssertUnwindSafe(|| {
-                            let mut local = ServeReport::default();
-                            let outcome = match tcp::framed_with(stream, &provider.tcp) {
-                                Ok((mut ctx, mut crx)) => {
-                                    provider.handle_conn(&mut ctx, &mut crx, &mut local)
-                                }
-                                Err(e) => Err(CoreError::from(e)),
-                            };
-                            (outcome, local)
-                        }));
-                        let _ = done_tx.send(done);
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    sleep_observing_stop(&stop, options.poll_interval);
-                }
-                Err(e) => {
-                    report.failed_connections += 1;
-                    report.last_error = Some(format!("accept: {e}"));
-                    sleep_observing_stop(&stop, options.poll_interval);
-                }
-            }
-        }
-        // Graceful drain: no new connections, wait out the in-flight ones.
-        drop(done_tx);
-        while active > 0 {
-            match done_rx.recv() {
-                Ok(done) => {
-                    active -= 1;
-                    absorb_worker(&mut report, done);
-                }
-                Err(_) => break,
-            }
-        }
-        report
-    }
-
-    /// Answers an over-capacity connection with a Busy rejection on a
-    /// detached thread (so a slow client can't wedge the accept loop),
-    /// then closes it. The client's opening hello is drained first: the
-    /// socket closes with unread data otherwise, and the resulting RST
-    /// could destroy the rejection before the client reads it.
-    ///
-    /// Two bounds keep a slow-loris flood of hellos from exhausting the
-    /// process: at most [`MAX_REJECTERS`] rejecter threads run at once
-    /// (beyond that the connection closes unanswered — to the client,
-    /// indistinguishable from an overflowed accept backlog, and retried
-    /// the same way), and the hello drain waits at most
-    /// [`REJECT_DRAIN_BOUND`] even when the configured read timeout is
-    /// longer or absent.
-    fn reject_busy(self: &Arc<Self>, stream: TcpStream, active: usize, retry_after: Duration) {
-        if self.rejecters.fetch_add(1, Ordering::Relaxed) >= MAX_REJECTERS {
-            self.rejecters.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-        let provider = Arc::clone(self);
-        std::thread::spawn(move || {
-            let mut tcp_config = provider.tcp.clone();
-            tcp_config.read_timeout = Some(
-                tcp_config.read_timeout.map_or(REJECT_DRAIN_BOUND, |t| t.min(REJECT_DRAIN_BOUND)),
-            );
-            tcp_config.write_timeout = Some(
-                tcp_config.write_timeout.map_or(REJECT_DRAIN_BOUND, |t| t.min(REJECT_DRAIN_BOUND)),
-            );
-            if let Ok((mut tx, mut rx)) = tcp::framed_with(stream, &tcp_config) {
-                let _ = rx.recv();
-                let reject = RejectMsg::busy(
-                    format!("server at capacity ({active} active sessions)"),
-                    retry_after.as_millis() as u64,
-                );
-                let _ = tx.send_payload(to_frame(&reject));
-            }
-            provider.rejecters.fetch_sub(1, Ordering::Relaxed);
-        });
-    }
-
     /// Counts governor-relevant receive failures before they propagate:
     /// a `FrameLimit` breach means a peer claimed a frame above its
     /// ceiling — an adversarial-peer event operators watch via
@@ -1379,10 +1164,11 @@ impl ModelProvider {
 
     /// Serves one accepted connection on the blocking transport:
     /// opening Hello/Resume, then the EncTensor/Ack/Bye loop. This is a
-    /// thin driver over the connection state machine ([`Self::open_conn`]
+    /// thin shell over the connection state machine ([`Self::open_conn`]
     /// / [`Self::on_frame`] / [`Self::on_exec_done`]) — the readiness
-    /// event loop drives the *same* machine, so both serving paths have
-    /// identical protocol semantics by construction. Counts into
+    /// event loop drives the *same* machine, so single-client and
+    /// multi-client serving have identical protocol semantics by
+    /// construction. Counts into
     /// `report`; transport and protocol failures return `Err` (the
     /// caller isolates them).
     fn handle_conn(
@@ -1432,9 +1218,9 @@ impl ModelProvider {
                 FrameDisposition::Continue(replies) => send_replies(tx, replies)?,
                 FrameDisposition::Execute(job) => {
                     let t0 = Instant::now();
-                    let (meta, outcome) = run_job(job, &self.pool);
+                    let done = run_job(job, &self.pool);
                     report.exec_ns += t0.elapsed().as_nanos() as u64;
-                    let replies = self.on_exec_done(&mut conn, meta, outcome, report)?;
+                    let replies = self.on_exec_done(&mut conn, done, report)?;
                     send_replies(tx, replies)?;
                 }
                 FrameDisposition::Clean => return Ok(ConnOutcome::Clean),
@@ -1475,19 +1261,7 @@ impl ModelProvider {
                     session,
                     packing.map_or(0, |s| s.slot_bits as u32),
                 );
-                let frame_ceiling = self.governor.config.negotiated_ceiling(
-                    pk_n_len,
-                    self.max_stage_elems,
-                    packing.map_or(0, |s| s.slots),
-                );
-                let conn = ConnState {
-                    session,
-                    packing,
-                    execs: Arc::new(self.build_linear_execs(&pk)),
-                    next_round: HashMap::new(),
-                    next_packed: HashMap::new(),
-                    frame_ceiling,
-                };
+                let conn = self.conn_state(session, &pk, pk_n_len, packing);
                 (vec![accept], Opened::Serving(Box::new(conn)))
             }
             Some(MsgTag::Resume) => {
@@ -1519,24 +1293,37 @@ impl ModelProvider {
                 report.resumed_sessions += 1;
                 let pk = PublicKey::from_n(BigUint::from_bytes_be(&entry.pk_n));
                 let accept = self.accept_reply(report, entry.pk_fingerprint, resume.session, 0);
-                let frame_ceiling = self.governor.config.negotiated_ceiling(
-                    entry.pk_n.len(),
-                    self.max_stage_elems,
-                    0,
-                );
-                let conn = ConnState {
-                    session: resume.session,
-                    packing: None,
-                    execs: Arc::new(self.build_linear_execs(&pk)),
-                    next_round: HashMap::new(),
-                    next_packed: HashMap::new(),
-                    frame_ceiling,
-                };
+                let conn = self.conn_state(resume.session, &pk, entry.pk_n.len(), None);
                 (vec![accept], Opened::Serving(Box::new(conn)))
             }
             _ => (
                 vec![self.reject_reply(report, "first frame was neither hello nor resume")],
                 Opened::Rejected,
+            ),
+        }
+    }
+
+    /// Fresh serving state for a connection that handshook with `pk`
+    /// (`pk_n_len` modulus bytes on the wire): its linear executors, and
+    /// the governor's frame ceiling for that key width, this topology
+    /// and the negotiated packing.
+    fn conn_state(
+        &self,
+        session: u64,
+        pk: &PublicKey,
+        pk_n_len: usize,
+        packing: Option<PackingSpec>,
+    ) -> ConnState {
+        ConnState {
+            session,
+            packing,
+            execs: Arc::new(self.build_linear_execs(pk)),
+            next_round: HashMap::new(),
+            next_packed: HashMap::new(),
+            frame_ceiling: self.governor.config.negotiated_ceiling(
+                pk_n_len,
+                self.max_stage_elems,
+                packing.map_or(0, |s| s.slots),
             ),
         }
     }
@@ -1667,13 +1454,12 @@ impl ModelProvider {
     fn on_exec_done(
         &self,
         conn: &mut ConnState,
-        meta: JobMeta,
-        outcome: ExecOutcome,
+        done: JobDone,
         report: &mut ServeReport,
     ) -> Result<Vec<Reply>, CoreError> {
         let n_linear = conn.execs.len();
-        match (meta, outcome) {
-            (JobMeta::Item { seq, round }, Ok(ExecOut::Item(res))) => {
+        match done {
+            JobDone::Item { seq, round, out: Ok(res) } => {
                 let out = res.map_err(CoreError::from)?;
                 if round + 1 == n_linear {
                     conn.next_round.remove(&seq);
@@ -1681,16 +1467,10 @@ impl ModelProvider {
                 } else {
                     conn.next_round.insert(seq, round + 1);
                 }
-                let payload = to_frame(&out);
-                report.bytes_out += payload.len() as u64;
-                report.frames_out += 1;
-                Ok(vec![Reply {
-                    payload,
-                    context: format!("linear-{round} reply for request {seq}"),
-                    best_effort: false,
-                }])
+                let context = format!("linear-{round} reply for request {seq}");
+                Ok(vec![Reply::new(report, &out, context)])
             }
-            (JobMeta::Item { seq, .. }, Err(panic_payload)) => {
+            JobDone::Item { seq, out: Err(panic_payload), .. } => {
                 let detail = panic_message(panic_payload.as_ref());
                 self.sessions.quarantine(conn.session, seq);
                 conn.next_round.remove(&seq);
@@ -1702,7 +1482,7 @@ impl ModelProvider {
                     &format!("item {seq} panicked: {detail}"),
                 )])
             }
-            (JobMeta::Packed { key, members, round }, Ok(ExecOut::Packed(res))) => match res {
+            JobDone::Packed { key, members, round, out: Ok(res) } => match res {
                 Ok(out) => {
                     if round + 1 == n_linear {
                         conn.next_packed.remove(&key);
@@ -1711,14 +1491,8 @@ impl ModelProvider {
                         conn.next_packed.insert(key, (out.seqs.clone(), round + 1));
                     }
                     report.packed_rounds += 1;
-                    let payload = to_frame(&out);
-                    report.bytes_out += payload.len() as u64;
-                    report.frames_out += 1;
-                    Ok(vec![Reply {
-                        payload,
-                        context: format!("packed linear-{round} reply for batch {key}"),
-                        best_effort: false,
-                    }])
+                    let context = format!("packed linear-{round} reply for batch {key}");
+                    Ok(vec![Reply::new(report, &out, context)])
                 }
                 Err(e) => Ok(vec![self.packed_abort_reply(
                     conn,
@@ -1727,7 +1501,7 @@ impl ModelProvider {
                     &format!("packed round {round} failed: {e}"),
                 )]),
             },
-            (JobMeta::Packed { key, round, .. }, Err(panic_payload)) => {
+            JobDone::Packed { key, round, out: Err(panic_payload), .. } => {
                 let detail = panic_message(panic_payload.as_ref());
                 Ok(vec![self.packed_abort_reply(
                     conn,
@@ -1736,13 +1510,6 @@ impl ModelProvider {
                     &format!("packed round {round} panicked: {detail}"),
                 )])
             }
-            // run_job pairs meta and outcome kinds by construction; a
-            // mismatch is a server bug, but it fails one connection
-            // (the session stays resumable) instead of panicking a
-            // shard that other connections share.
-            _ => Err(CoreError::Runtime(
-                "job meta does not match its outcome kind (server bug)".into(),
-            )),
         }
     }
 
@@ -1751,10 +1518,8 @@ impl ModelProvider {
     fn reject_reply(&self, report: &mut ServeReport, reason: &str) -> Reply {
         report.rejected_handshakes += 1;
         report.last_error = Some(format!("rejected client: {reason}"));
-        let payload = to_frame(&RejectMsg::mismatch(reason));
-        report.bytes_out += payload.len() as u64;
-        report.frames_out += 1;
-        Reply { payload, context: "handshake reject".into(), best_effort: true }
+        let reject = RejectMsg::mismatch(reason);
+        Reply { best_effort: true, ..Reply::new(report, &reject, "handshake reject".into()) }
     }
 
     /// Builds a per-item error reply: the item fails, the session and
@@ -1766,14 +1531,8 @@ impl ModelProvider {
         kind: ItemErrorKind,
         detail: &str,
     ) -> Reply {
-        let payload = to_frame(&ItemErrorMsg { seq, kind, detail: detail.to_string() });
-        report.bytes_out += payload.len() as u64;
-        report.frames_out += 1;
-        Reply {
-            payload,
-            context: format!("item-error reply for request {seq}"),
-            best_effort: false,
-        }
+        let error = ItemErrorMsg { seq, kind, detail: detail.to_string() };
+        Reply::new(report, &error, format!("item-error reply for request {seq}"))
     }
 
     fn accept_reply(
@@ -1783,16 +1542,14 @@ impl ModelProvider {
         session: u64,
         pack_slot_bits: u32,
     ) -> Reply {
-        let payload = to_frame(&AcceptMsg {
+        let accept = AcceptMsg {
             version: PROTOCOL_VERSION,
             pk_fingerprint,
             topology: self.topology,
             session,
             pack_slot_bits,
-        });
-        report.bytes_out += payload.len() as u64;
-        report.frames_out += 1;
-        Reply { payload, context: "handshake accept".into(), best_effort: false }
+        };
+        Reply::new(report, &accept, "handshake accept".into())
     }
 
     /// Accepts the client's proposed packing layout only when it fits
@@ -2002,36 +1759,29 @@ impl ModelProvider {
 /// Knobs for [`ModelProvider::serve_forever`].
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Concurrent connection workers; further accepts wait for a slot.
+    /// Shard threads: each multiplexes its share of the connections, so
+    /// this bounds the serving threads, not the sessions served.
     pub max_workers: usize,
-    /// Idle accept-loop poll interval (the listener is non-blocking so
-    /// the stop flag is observed promptly).
-    pub poll_interval: Duration,
     /// Admission control: with `Some(cap)`, a connection arriving while
     /// `cap` sessions are already being served is answered with a
     /// [`RejectCode::Busy`] reply (carrying [`retry_after`] as the
-    /// backoff hint) and closed, instead of waiting for a worker slot.
-    /// `None` keeps the legacy queue-for-a-slot behavior.
+    /// backoff hint) and closed. `None` means no cap.
     ///
     /// [`retry_after`]: ServeOptions::retry_after
     pub max_sessions: Option<usize>,
     /// Backoff hint sent with every busy rejection.
     pub retry_after: Duration,
-    /// Cross-session batching window for the event loop: linear-round
-    /// jobs from different sessions arriving within this window are
-    /// coalesced into one fused pool dispatch. `Duration::ZERO`
-    /// (default) disables coalescing — every job executes inline on its
-    /// shard, which preserves strict per-session serving order and is
-    /// the right choice below ~a few dozen concurrent sessions.
+    /// Cross-session batching window: linear-round jobs from different
+    /// sessions arriving within this window are coalesced into one
+    /// fused pool dispatch. `Duration::ZERO` (default) disables
+    /// coalescing — every job executes inline on its shard, which
+    /// preserves strict per-session serving order and is the right
+    /// choice below ~a few dozen concurrent sessions.
     pub gather_window: Duration,
-    /// Forces the legacy thread-per-connection supervisor even where
-    /// the readiness event loop is supported (also: `PP_EVLOOP=0`).
-    pub legacy_threaded: bool,
     /// Crash journal for the session table
     /// ([`ModelProvider::open_journal`] is called at serve start).
-    /// `None` (default) keeps the table purely in-memory — the serve
-    /// path is then byte-for-byte what it was before journaling
-    /// existed. [`JournalConfig::from_env`] reads `PP_JOURNAL_DIR` /
+    /// `None` (default) keeps the table purely in-memory.
+    /// [`JournalConfig::from_env`] reads `PP_JOURNAL_DIR` /
     /// `PP_JOURNAL_FSYNC` for the binaries.
     pub journal: Option<JournalConfig>,
 }
@@ -2040,107 +1790,75 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             max_workers: 4,
-            poll_interval: Duration::from_millis(10),
             max_sessions: None,
             retry_after: Duration::from_millis(25),
             gather_window: Duration::ZERO,
-            legacy_threaded: false,
             journal: None,
         }
     }
 }
 
-/// One worker's outcome: its connection result and local counters, or
-/// the panic payload `catch_unwind` trapped.
-type WorkerDone = std::thread::Result<(Result<ConnOutcome, CoreError>, ServeReport)>;
-
-/// Sleeps up to `total` in short slices, returning as soon as `stop`
-/// is set — so the legacy threaded supervisor's idle waits observe a
-/// shutdown within ~25ms no matter how coarse
-/// [`ServeOptions::poll_interval`] is (the event loop needs no slicing:
-/// its poller parks until a waker fires).
-fn sleep_observing_stop(stop: &AtomicBool, total: Duration) {
-    let slice = Duration::from_millis(25);
-    let deadline = Instant::now() + total;
-    while !stop.load(Ordering::Relaxed) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return;
-        }
-        std::thread::sleep(left.min(slice));
-    }
-}
-
-fn absorb_worker(report: &mut ServeReport, done: WorkerDone) {
-    match done {
-        Ok((outcome, local)) => {
-            report.merge(&local);
-            match outcome {
-                Ok(ConnOutcome::Clean) => report.clean_shutdown = true,
-                Ok(ConnOutcome::Dropped) | Ok(ConnOutcome::Rejected) => {}
-                Err(e) => {
-                    report.failed_connections += 1;
-                    report.last_error = Some(e.to_string());
-                }
-            }
-        }
-        Err(_) => report.panicked_connections += 1,
-    }
-}
-
-/// Handle on a running [`ModelProvider::serve_forever`] loop.
-pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<ServeReport>,
-    /// Event-loop wakers (acceptor + shards): `shutdown` fires them so
-    /// the loops observe the stop flag immediately rather than after a
-    /// `poll_interval` sleep. Empty on the legacy threaded path.
-    wakers: Vec<evloop::Waker>,
-}
-
-impl ServerHandle {
-    /// The bound listening address (useful with `127.0.0.1:0`).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, drains in-flight connections, and returns the
-    /// aggregated report.
-    pub fn shutdown(self) -> ServeReport {
-        self.stop.store(true, Ordering::Relaxed);
-        for waker in &self.wakers {
-            waker.wake();
-        }
-        self.thread.join().unwrap_or_else(|_| ServeReport {
-            last_error: Some("serve_forever supervisor panicked".into()),
-            ..Default::default()
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Readiness event loop (Linux x86_64 / aarch64)
+// The multi-client serving driver
 // ---------------------------------------------------------------------------
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(unix)]
 mod ev {
     //! The serving event loop of DESIGN.md §9: one acceptor thread plus
     //! `max_workers` shard threads, each multiplexing its share of
-    //! nonblocking connections over an epoll [`Poller`]. Every
-    //! connection runs the same state machine as the blocking
-    //! `handle_conn` driver (`open_conn`/`on_frame`/`on_exec_done`);
-    //! the loop only decides *when* frames are absorbed and *where*
-    //! admitted jobs execute — inline on the shard, or coalesced with
-    //! other sessions' jobs by the gather-window batcher.
+    //! nonblocking connections over a [`Poller`]. Every connection runs
+    //! the same state machine as the blocking `handle_conn` shell
+    //! (`open_conn`/`on_frame`/`on_exec_done`); the loop only decides
+    //! *when* frames are absorbed and *where* admitted jobs execute —
+    //! inline on the shard, or coalesced with other sessions' jobs by
+    //! the gather-window batcher.
 
     use super::*;
     use crate::evloop::{FrameReader, Poller, Waker, WriteBuf};
     use std::io::Read;
     use std::os::fd::AsRawFd;
 
+    /// Pause after a failed `accept` (fd exhaustion, typically) so a
+    /// persistent failure cannot spin the acceptor.
+    const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+    /// Token 0 is a loop's waker; the acceptor's listener and the
+    /// shards' connections start above it.
+    const WAKER_TOKEN: u64 = 0;
+    const LISTENER_TOKEN: u64 = 1;
+
+    /// Handle on a running [`ModelProvider::serve_forever`] loop.
+    pub struct ServerHandle {
+        stop: Arc<AtomicBool>,
+        addr: SocketAddr,
+        thread: std::thread::JoinHandle<ServeReport>,
+        /// The acceptor's and the shards' wakers: `shutdown` fires them
+        /// so every loop observes the stop flag immediately.
+        wakers: Vec<Waker>,
+    }
+
+    impl ServerHandle {
+        /// The bound listening address (useful with `127.0.0.1:0`).
+        pub fn addr(&self) -> SocketAddr {
+            self.addr
+        }
+
+        /// Stops accepting, drains in-flight connections, and returns the
+        /// aggregated report.
+        pub fn shutdown(self) -> ServeReport {
+            self.stop.store(true, Ordering::Relaxed);
+            for waker in &self.wakers {
+                waker.wake();
+            }
+            self.thread.join().unwrap_or_else(|_| ServeReport {
+                last_error: Some("serve_forever supervisor panicked".into()),
+                ..Default::default()
+            })
+        }
+    }
+
     /// Work handed from the acceptor to a shard (always followed by a
-    /// wakeup on the shard's eventfd).
+    /// wakeup on the shard's waker).
     enum ShardCmd {
         /// Serve this connection; it holds an admission slot.
         Serve(TcpStream),
@@ -2158,8 +1876,7 @@ mod ev {
     /// A finished batched execution routed back to its owning shard.
     struct ExecDone {
         conn: u64,
-        meta: JobMeta,
-        outcome: ExecOutcome,
+        done: JobDone,
     }
 
     /// What a shard-owned connection is currently doing.
@@ -2189,17 +1906,36 @@ mod ev {
         /// A linear round is at the batcher; later frames stay buffered
         /// so per-session ordering is untouched by batching.
         exec_inflight: bool,
-        /// Busy rejections abandon their drain at this instant — the
-        /// event-loop form of [`REJECT_DRAIN_BOUND`], so a slow-loris
-        /// flood of silent hellos occupies fds only briefly.
-        reject_deadline: Option<Instant>,
+        /// The connection is dropped if its peer has sent nothing by
+        /// this instant. Busy rejections get [`REJECT_DRAIN_BOUND`] in
+        /// total, so a slow-loris flood of silent hellos occupies fds
+        /// only briefly; served connections get
+        /// [`TcpConfig::read_timeout`] (`None` = wait forever), re-armed
+        /// by every byte read and every finished execution, and not
+        /// enforced while a round is at the batcher.
+        read_deadline: Option<Instant>,
         /// Buffered bytes (decode buffer + reply backlog) currently
         /// charged against the governor's global memory budget.
         charged: usize,
     }
 
-    /// Token 0 is the shard's waker; connections start above it.
-    const WAKER_TOKEN: u64 = 0;
+    impl EvConn {
+        fn queue(&mut self, replies: &[Reply]) {
+            for r in replies {
+                self.wbuf.queue(&r.payload);
+            }
+        }
+
+        /// The read deadline, unless a round is at the batcher: the
+        /// peer is then waiting on us, not the other way round.
+        fn enforced_deadline(&self) -> Option<Instant> {
+            if self.exec_inflight {
+                None
+            } else {
+                self.read_deadline
+            }
+        }
+    }
 
     struct Shard {
         provider: Arc<ModelProvider>,
@@ -2212,7 +1948,7 @@ mod ev {
         id: usize,
         active: Arc<AtomicUsize>,
         stop: Arc<AtomicBool>,
-        options: ServeOptions,
+        retry_after: Duration,
         conns: HashMap<u64, EvConn>,
         next_token: u64,
         report: ServeReport,
@@ -2220,10 +1956,6 @@ mod ev {
 
     impl Shard {
         fn run(mut self) -> ServeReport {
-            if self.poller.add(self.waker.raw_fd(), WAKER_TOKEN, false).is_err() {
-                self.report.last_error = Some("shard: failed to register waker".into());
-                return self.report;
-            }
             let mut events = Vec::new();
             loop {
                 while let Ok(cmd) = self.cmd_rx.try_recv() {
@@ -2238,7 +1970,7 @@ mod ev {
                 let timeout = self
                     .conns
                     .values()
-                    .filter_map(|c| c.reject_deadline)
+                    .filter_map(EvConn::enforced_deadline)
                     .min()
                     .map(|d| d.saturating_duration_since(Instant::now()));
                 if self.poller.wait(&mut events, timeout).is_err() {
@@ -2258,13 +1990,15 @@ mod ev {
                     }
                     self.enforce_budgets(ev.token);
                 }
-                self.sweep_reject_deadlines();
+                self.sweep_read_deadlines();
             }
         }
 
         fn admit(&mut self, cmd: ShardCmd) {
-            let (stream, phase, holds_slot, reject_deadline) = match cmd {
-                ShardCmd::Serve(stream) => (stream, EvPhase::AwaitFirst, true, None),
+            let (stream, phase, holds_slot, read_deadline) = match cmd {
+                ShardCmd::Serve(stream) => {
+                    (stream, EvPhase::AwaitFirst, true, self.provider.read_deadline())
+                }
                 ShardCmd::RejectBusy { stream, active } => (
                     stream,
                     EvPhase::RejectBusy { active },
@@ -2272,22 +2006,18 @@ mod ev {
                     Some(Instant::now() + REJECT_DRAIN_BOUND),
                 ),
             };
-            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                if holds_slot {
-                    self.active.fetch_sub(1, Ordering::Relaxed);
-                }
-                self.report.failed_connections += 1;
-                self.report.last_error = Some("setup: nonblocking connection".into());
-                return;
-            }
             let token = self.next_token;
             self.next_token += 1;
-            if self.poller.add(stream.as_raw_fd(), token, false).is_err() {
+            let registered = stream
+                .set_nonblocking(true)
+                .and_then(|()| stream.set_nodelay(true))
+                .and_then(|()| self.poller.add(stream.as_raw_fd(), token, false));
+            if let Err(e) = registered {
                 if holds_slot {
                     self.active.fetch_sub(1, Ordering::Relaxed);
                 }
                 self.report.failed_connections += 1;
-                self.report.last_error = Some("setup: epoll registration".into());
+                self.report.last_error = Some(format!("setup: nonblocking connection: {e}"));
                 return;
             }
             // Unauthenticated connections read under the governor's
@@ -2307,14 +2037,14 @@ mod ev {
                     close_after_flush: false,
                     read_eof: false,
                     exec_inflight: false,
-                    reject_deadline,
+                    read_deadline,
                     charged: 0,
                 },
             );
         }
 
-        /// Reads until `WouldBlock` (or a short read — level-triggered
-        /// epoll re-reports leftovers), then advances the state machine
+        /// Reads until `WouldBlock` (or a short read — the level-triggered
+        /// poller re-reports leftovers), then advances the state machine
         /// over every complete buffered frame.
         fn read_conn(&mut self, token: u64) {
             let mut scratch = [0u8; 16 * 1024];
@@ -2330,6 +2060,11 @@ mod ev {
                     }
                     Ok(n) => {
                         conn.reader.extend_from(&scratch[..n]);
+                        // A busy rejection's drain bound is total: a
+                        // dribbled hello must not extend it.
+                        if !matches!(conn.phase, EvPhase::RejectBusy { .. }) {
+                            conn.read_deadline = self.provider.read_deadline();
+                        }
                         if n < scratch.len() {
                             break;
                         }
@@ -2337,32 +2072,15 @@ mod ev {
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(e) => {
-                        let stage = self.stage_of(token);
-                        self.fail_conn(
-                            token,
-                            CoreError::from(
-                                StreamError::transport(
-                                    TransportErrorKind::Recv,
-                                    format!("tcp recv: {e}"),
-                                )
-                                .at_stage(stage),
-                            )
-                            .to_string(),
+                        let e = StreamError::transport(
+                            TransportErrorKind::Recv,
+                            format!("tcp recv: {e}"),
                         );
-                        return;
+                        return self.fail_stream(token, e);
                     }
                 }
             }
             self.advance(token);
-        }
-
-        /// Stage label for transport errors, mirroring the blocking
-        /// driver's `at_stage` contexts.
-        fn stage_of(&self, token: u64) -> &'static str {
-            match self.conns.get(&token).map(|c| &c.phase) {
-                Some(EvPhase::Serving(_)) => "linear request",
-                _ => "handshake",
-            }
         }
 
         /// Feeds buffered frames through the state machine until it
@@ -2382,15 +2100,8 @@ mod ev {
                     }
                     Ok(None) => break,
                     Err(e) => {
-                        if matches!(
-                            e,
-                            StreamError::Transport { kind: TransportErrorKind::FrameLimit, .. }
-                        ) {
-                            self.report.oversize_frames += 1;
-                        }
-                        let stage = self.stage_of(token);
-                        self.fail_conn(token, CoreError::from(e.at_stage(stage)).to_string());
-                        return;
+                        let e = self.provider.classify_recv(e, &mut self.report);
+                        return self.fail_stream(token, e);
                     }
                 }
             }
@@ -2400,126 +2111,74 @@ mod ev {
         /// Runs one decoded frame through the connection state machine.
         /// Returns `false` when the connection was torn down.
         fn absorb_frame(&mut self, token: u64, frame: Frame) -> bool {
-            enum Kind {
-                AwaitFirst,
-                Serving,
-                RejectBusy(usize),
+            let Some(conn) = self.conns.get_mut(&token) else { return false };
+            if let EvPhase::RejectBusy { active } = conn.phase {
+                // The drained hello and the Busy reply stay uncounted
+                // (the acceptor already counted the rejection), so busy
+                // floods don't skew frame/byte accounting.
+                conn.wbuf.queue(&to_frame(&RejectMsg::busy(
+                    format!("server at capacity ({active} active sessions)"),
+                    self.retry_after.as_millis() as u64,
+                )));
+                conn.close_after_flush = true;
+                return true;
             }
-            let kind = match self.conns.get(&token).map(|c| &c.phase) {
-                Some(EvPhase::AwaitFirst) => Kind::AwaitFirst,
-                Some(EvPhase::Serving(_)) => Kind::Serving,
-                Some(EvPhase::RejectBusy { active }) => Kind::RejectBusy(*active),
-                None => return false,
+            self.report.frames_in += 1;
+            self.report.bytes_in += frame.payload.len() as u64;
+            let EvPhase::Serving(state) = &mut conn.phase else {
+                let (replies, opened) = self.provider.open_conn(frame.payload, &mut self.report);
+                conn.queue(&replies);
+                match opened {
+                    Opened::Serving(state) => {
+                        // Handshake accepted: raise the frame ceiling
+                        // from the pre-auth cap to what this connection
+                        // legitimately negotiated.
+                        conn.reader.set_max_frame(state.frame_ceiling);
+                        conn.phase = EvPhase::Serving(state);
+                    }
+                    Opened::Rejected => conn.close_after_flush = true,
+                }
+                return true;
             };
-            match kind {
-                Kind::RejectBusy(active) => {
-                    // Parity with the threaded rejecter: the drained
-                    // hello and the Busy reply stay uncounted (the
-                    // acceptor already counted the rejection), so busy
-                    // floods don't skew frame/byte accounting.
-                    let payload = to_frame(&RejectMsg::busy(
-                        format!("server at capacity ({active} active sessions)"),
-                        self.options.retry_after.as_millis() as u64,
-                    ));
-                    // Re-looked-up rather than `expect`ed: the phase
-                    // check above holds today, but a panic here would
-                    // take down a shard serving *other* connections.
-                    let Some(conn) = self.conns.get_mut(&token) else { return false };
-                    conn.wbuf.queue(&payload);
+            let done = match self.provider.on_frame(state, frame, &mut self.report) {
+                Ok(FrameDisposition::Continue(replies)) => Ok(replies),
+                Ok(FrameDisposition::Clean) => {
+                    self.report.clean_shutdown = true;
                     conn.close_after_flush = true;
+                    Ok(Vec::new())
+                }
+                Ok(FrameDisposition::Execute(job)) => match &self.job_tx {
+                    // Cross-session batching: park the connection and
+                    // ship the job; the batcher wakes us with the outcome.
+                    Some(job_tx) => {
+                        conn.exec_inflight = true;
+                        job_tx
+                            .send(BatchJob { shard: self.id, conn: token, job })
+                            .map(|()| Vec::new())
+                            .map_err(|_| {
+                                CoreError::Runtime("batcher unavailable for linear round".into())
+                            })
+                    }
+                    // No gather window: execute inline on the provider
+                    // pool, exactly like the blocking shell.
+                    None => {
+                        let t0 = Instant::now();
+                        let done = run_job(job, &self.provider.pool);
+                        self.report.exec_ns += t0.elapsed().as_nanos() as u64;
+                        conn.read_deadline = self.provider.read_deadline();
+                        self.provider.on_exec_done(state, done, &mut self.report)
+                    }
+                },
+                Err(e) => Err(e),
+            };
+            match done {
+                Ok(replies) => {
+                    conn.queue(&replies);
                     true
                 }
-                Kind::AwaitFirst => {
-                    self.report.frames_in += 1;
-                    self.report.bytes_in += frame.payload.len() as u64;
-                    let (replies, opened) =
-                        self.provider.open_conn(frame.payload, &mut self.report);
-                    let Some(conn) = self.conns.get_mut(&token) else { return false };
-                    for r in &replies {
-                        conn.wbuf.queue(&r.payload);
-                    }
-                    match opened {
-                        Opened::Serving(state) => {
-                            // Handshake accepted: raise the frame
-                            // ceiling from the pre-auth cap to what this
-                            // connection legitimately negotiated.
-                            conn.reader.set_max_frame(state.frame_ceiling);
-                            conn.phase = EvPhase::Serving(state);
-                        }
-                        Opened::Rejected => conn.close_after_flush = true,
-                    }
-                    true
-                }
-                Kind::Serving => {
-                    self.report.frames_in += 1;
-                    self.report.bytes_in += frame.payload.len() as u64;
-                    let Some(conn) = self.conns.get_mut(&token) else { return false };
-                    let EvPhase::Serving(state) = &mut conn.phase else {
-                        // Kind said Serving; a mismatch is a server bug,
-                        // but it fails one connection, not the shard.
-                        self.fail_conn(token, "connection phase changed mid-frame".into());
-                        return false;
-                    };
-                    match self.provider.on_frame(state, frame, &mut self.report) {
-                        Ok(FrameDisposition::Continue(replies)) => {
-                            for r in &replies {
-                                conn.wbuf.queue(&r.payload);
-                            }
-                            true
-                        }
-                        Ok(FrameDisposition::Clean) => {
-                            self.report.clean_shutdown = true;
-                            conn.close_after_flush = true;
-                            true
-                        }
-                        Ok(FrameDisposition::Execute(job)) => {
-                            if let Some(job_tx) = &self.job_tx {
-                                // Cross-session batching: park the
-                                // connection and ship the job; the
-                                // batcher wakes us with the outcome.
-                                conn.exec_inflight = true;
-                                let sent = job_tx
-                                    .send(BatchJob { shard: self.id, conn: token, job })
-                                    .is_ok();
-                                if !sent {
-                                    self.fail_conn(
-                                        token,
-                                        "batcher unavailable for linear round".into(),
-                                    );
-                                    return false;
-                                }
-                                true
-                            } else {
-                                // No gather window: execute inline on
-                                // the provider pool, exactly like the
-                                // blocking driver.
-                                let t0 = Instant::now();
-                                let (meta, outcome) = run_job(job, &self.provider.pool);
-                                self.report.exec_ns += t0.elapsed().as_nanos() as u64;
-                                match self.provider.on_exec_done(
-                                    state,
-                                    meta,
-                                    outcome,
-                                    &mut self.report,
-                                ) {
-                                    Ok(replies) => {
-                                        for r in &replies {
-                                            conn.wbuf.queue(&r.payload);
-                                        }
-                                        true
-                                    }
-                                    Err(e) => {
-                                        self.fail_conn(token, e.to_string());
-                                        false
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            self.fail_conn(token, e.to_string());
-                            false
-                        }
-                    }
+                Err(e) => {
+                    self.fail_conn(token, e.to_string());
+                    false
                 }
             }
         }
@@ -2533,17 +2192,11 @@ mod ev {
                 return;
             };
             conn.exec_inflight = false;
+            conn.read_deadline = self.provider.read_deadline();
             let EvPhase::Serving(state) = &mut conn.phase else { return };
-            match self.provider.on_exec_done(state, done.meta, done.outcome, &mut self.report) {
-                Ok(replies) => {
-                    for r in &replies {
-                        conn.wbuf.queue(&r.payload);
-                    }
-                }
-                Err(e) => {
-                    self.fail_conn(token, e.to_string());
-                    return;
-                }
+            match self.provider.on_exec_done(state, done.done, &mut self.report) {
+                Ok(replies) => conn.queue(&replies),
+                Err(e) => return self.fail_conn(token, e.to_string()),
             }
             self.advance(token);
             self.enforce_budgets(token);
@@ -2551,31 +2204,18 @@ mod ev {
 
         /// Resolves a half-closed peer once nothing is pending, then
         /// flushes. EOF at a frame boundary mirrors the blocking
-        /// driver: before the first frame it's a refused handshake,
+        /// shell: before the first frame it's a refused handshake,
         /// mid-session it's a silent drop (session stays resumable),
         /// and mid-frame it's a failed connection.
         fn after_read(&mut self, token: u64) {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             if conn.read_eof && !conn.exec_inflight && !conn.close_after_flush {
                 if conn.reader.has_partial() {
-                    let silent = matches!(conn.phase, EvPhase::RejectBusy { .. });
-                    let stage = self.stage_of(token);
-                    if silent {
-                        self.close_conn(token);
-                    } else {
-                        self.fail_conn(
-                            token,
-                            CoreError::from(
-                                StreamError::transport(
-                                    TransportErrorKind::Eof,
-                                    "connection closed mid-frame",
-                                )
-                                .at_stage(stage),
-                            )
-                            .to_string(),
-                        );
-                    }
-                    return;
+                    let e = StreamError::transport(
+                        TransportErrorKind::Eof,
+                        "connection closed mid-frame",
+                    );
+                    return self.fail_stream(token, e);
                 }
                 if matches!(conn.phase, EvPhase::AwaitFirst) {
                     self.report.rejected_handshakes += 1;
@@ -2586,59 +2226,64 @@ mod ev {
         }
 
         /// Drains the write buffer as far as the socket allows and
-        /// keeps epoll write interest in sync with whether bytes
-        /// remain. Closing paths (`close_after_flush`) treat write
-        /// errors as best-effort; anything else is a failed connection.
+        /// keeps the poller's write interest in sync with whether bytes
+        /// remain.
         fn flush_now(&mut self, token: u64) {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             match conn.wbuf.flush(&mut conn.stream) {
-                Ok(true) => {
-                    if conn.close_after_flush {
-                        self.close_conn(token);
-                        return;
-                    }
-                    if conn.want_write {
-                        conn.want_write = false;
-                        let fd = conn.stream.as_raw_fd();
-                        let _ = self.poller.modify(fd, token, false);
-                    }
-                }
-                Ok(false) => {
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let fd = conn.stream.as_raw_fd();
-                        let _ = self.poller.modify(fd, token, true);
+                Ok(true) if conn.close_after_flush => self.close_conn(token),
+                Ok(drained) => {
+                    // Write interest is on exactly while bytes remain.
+                    if conn.want_write == drained {
+                        conn.want_write = !drained;
+                        let _ = self.poller.modify(conn.stream.as_raw_fd(), token, !drained);
                     }
                 }
                 Err(e) => {
-                    let silent = conn.close_after_flush;
-                    if silent {
-                        self.close_conn(token);
-                    } else {
-                        self.fail_conn(
-                            token,
-                            CoreError::from(StreamError::transport(
-                                TransportErrorKind::Send,
-                                format!("tcp send: {e}"),
-                            ))
-                            .to_string(),
-                        );
-                    }
+                    let e =
+                        StreamError::transport(TransportErrorKind::Send, format!("tcp send: {e}"));
+                    self.fail_stream(token, e);
                 }
             }
         }
 
-        fn sweep_reject_deadlines(&mut self) {
+        /// Closes every connection whose peer stayed silent past its
+        /// read deadline — for a served connection, what the blocking
+        /// shell's `recv` timeout is.
+        fn sweep_read_deadlines(&mut self) {
             let now = Instant::now();
             let expired: Vec<u64> = self
                 .conns
                 .iter()
-                .filter(|(_, c)| c.reject_deadline.is_some_and(|d| d <= now))
+                .filter(|(_, c)| c.enforced_deadline().is_some_and(|d| d <= now))
                 .map(|(&t, _)| t)
                 .collect();
-            for t in expired {
-                self.close_conn(t);
+            for token in expired {
+                let e = StreamError::transport(
+                    TransportErrorKind::Timeout,
+                    "tcp recv: nothing received within the read timeout",
+                );
+                self.fail_stream(token, e);
             }
+        }
+
+        /// Ends a connection on a transport error. A served connection
+        /// fails, the error labelled like the blocking shell's
+        /// `at_stage` contexts by what the connection was waiting for
+        /// (its session stays resumable); a busy rejection, or one only
+        /// waiting to flush a farewell, is best-effort and closes
+        /// silently.
+        fn fail_stream(&mut self, token: u64, e: StreamError) {
+            let stage = match self.conns.get(&token) {
+                None => return,
+                Some(c) if c.close_after_flush => return self.close_conn(token),
+                Some(c) => match c.phase {
+                    EvPhase::RejectBusy { .. } => return self.close_conn(token),
+                    EvPhase::AwaitFirst => "handshake",
+                    EvPhase::Serving(_) => "linear request",
+                },
+            };
+            self.fail_conn(token, CoreError::from(e.at_stage(stage)).to_string());
         }
 
         /// Re-states this connection's buffered footprint against the
@@ -2725,7 +2370,7 @@ mod ev {
             );
             let taken = Arc::clone(&slots);
             let t0 = Instant::now();
-            let outs: Vec<(JobMeta, ExecOutcome)> = provider.pool.map_ranges(n, move |range| {
+            let outs: Vec<JobDone> = provider.pool.map_ranges(n, move |range| {
                 let inline = WorkerPool::inline();
                 // Poison-audit: this `expect` cannot fire — `map_ranges`
                 // partitions `0..n` disjointly, so each slot is taken
@@ -2742,8 +2387,8 @@ mod ev {
             report.batched_rounds += 1;
             report.batched_items += n as u64;
             let mut woken: HashSet<usize> = HashSet::new();
-            for ((shard, conn), (meta, outcome)) in routes.into_iter().zip(outs) {
-                if done_txs[shard].0.send(ExecDone { conn, meta, outcome }).is_ok() {
+            for ((shard, conn), done) in routes.into_iter().zip(outs) {
+                if done_txs[shard].0.send(ExecDone { conn, done }).is_ok() {
                     woken.insert(shard);
                 }
             }
@@ -2755,35 +2400,92 @@ mod ev {
     }
 
     impl ModelProvider {
-        /// The event-loop supervisor behind `serve_forever`: acceptor
-        /// here, shards and batcher on their own threads. Any setup
-        /// failure (fd pressure on pollers) falls back to the legacy
-        /// threaded supervisor so serving never silently dies.
-        pub(super) fn supervise_evloop(
+        /// Supervised multi-client serving: accepts connections on
+        /// `listener` until [`ServerHandle::shutdown`].
+        ///
+        /// Runs the readiness-driven event loop of DESIGN.md §9: one
+        /// acceptor plus [`ServeOptions::max_workers`] shard threads
+        /// multiplexing nonblocking sockets over `poll(2)`, so an idle
+        /// session costs a registered fd instead of a parked thread and
+        /// shutdown is a wakeup. [`ServeOptions::gather_window`]
+        /// additionally coalesces linear rounds from *different*
+        /// sessions into fused dispatches.
+        ///
+        /// A per-connection panic or error is isolated and counted. A
+        /// connection that sends nothing for [`TcpConfig::read_timeout`]
+        /// is dropped (its session stays resumable), and shutdown stops
+        /// accepting then drains in-flight connections — so with no read
+        /// timeout configured it waits for every client to close.
+        pub fn serve_forever(
+            self: &Arc<Self>,
+            listener: TcpListener,
+            options: ServeOptions,
+        ) -> Result<ServerHandle, CoreError> {
+            let setup = |what: &str, e| io_failure(TransportErrorKind::Setup, what, e);
+            let addr = listener
+                .local_addr()
+                .map_err(|e| io_failure(TransportErrorKind::Bind, "local addr", e))?;
+            listener.set_nonblocking(true).map_err(|e| setup("nonblocking listener", e))?;
+            if let Some(cfg) = &options.journal {
+                // A journal opened directly via `open_journal` (e.g. to
+                // inspect the restored-session count first) stays armed;
+                // only open here if nobody did.
+                if self.sessions.journal.lock().is_none() {
+                    self.open_journal(cfg)?;
+                }
+            }
+            // Every waker and registration exists before the supervisor
+            // thread spawns, so a set-up failure is this call's error and
+            // `ServerHandle::shutdown` can interrupt the waits at once:
+            // one waker for the acceptor, one per shard.
+            let n_shards = options.max_workers.max(1);
+            let wakers = (0..=n_shards)
+                .map(|_| Waker::new())
+                .collect::<std::io::Result<Vec<Waker>>>()
+                .map_err(|e| setup("event-loop waker", e))?;
+            let mut pollers = Vec::with_capacity(wakers.len());
+            for waker in &wakers {
+                let poller = Poller::new();
+                poller
+                    .add(waker.raw_fd(), WAKER_TOKEN, false)
+                    .map_err(|e| setup("register waker", e))?;
+                pollers.push(poller);
+            }
+            pollers[0]
+                .add(listener.as_raw_fd(), LISTENER_TOKEN, false)
+                .map_err(|e| setup("register listener", e))?;
+
+            let stop = Arc::new(AtomicBool::new(false));
+            let thread = {
+                let provider = Arc::clone(self);
+                let (stop, wakers) = (Arc::clone(&stop), wakers.clone());
+                std::thread::spawn(move || {
+                    provider.run_acceptor(listener, options, stop, wakers, pollers)
+                })
+            };
+            Ok(ServerHandle { stop, addr, thread, wakers })
+        }
+
+        /// A fresh read deadline for a served connection
+        /// ([`TcpConfig::read_timeout`] from now; `None` = no deadline).
+        fn read_deadline(&self) -> Option<Instant> {
+            self.tcp.read_timeout.map(|t| Instant::now() + t)
+        }
+
+        /// The supervisor behind `serve_forever`: acceptor here, shards
+        /// and batcher on their own threads. `wakers[0]`/`pollers[0]`
+        /// are the acceptor's, the rest one per shard.
+        fn run_acceptor(
             self: Arc<Self>,
             listener: TcpListener,
             options: ServeOptions,
             stop: Arc<AtomicBool>,
             wakers: Vec<Waker>,
+            mut pollers: Vec<Poller>,
         ) -> ServeReport {
-            let n_shards = options.max_workers.max(1);
-            debug_assert_eq!(wakers.len(), n_shards + 1);
-            let poller = match Poller::new() {
-                Ok(p) => p,
-                Err(_) => return self.supervise(listener, options, stop),
-            };
-            if poller.add(wakers[0].raw_fd(), 0, false).is_err()
-                || poller.add(listener.as_raw_fd(), 1, false).is_err()
-            {
-                return self.supervise(listener, options, stop);
-            }
-            let mut shard_pollers = Vec::with_capacity(n_shards);
-            for _ in 0..n_shards {
-                match Poller::new() {
-                    Ok(p) => shard_pollers.push(p),
-                    Err(_) => return self.supervise(listener, options, stop),
-                }
-            }
+            let shard_pollers = pollers.split_off(1);
+            let n_shards = shard_pollers.len();
+            let poller = pollers.remove(0);
 
             let active = Arc::new(AtomicUsize::new(0));
             let gather = options.gather_window;
@@ -2806,7 +2508,7 @@ mod ev {
                     id,
                     active: Arc::clone(&active),
                     stop: Arc::clone(&stop),
-                    options: options.clone(),
+                    retry_after: options.retry_after,
                     conns: HashMap::new(),
                     next_token: 1,
                     report: ServeReport::default(),
@@ -2827,7 +2529,7 @@ mod ev {
                     report.last_error = Some("acceptor: event wait failed".into());
                     break;
                 }
-                if events.iter().any(|e| e.token == 0) {
+                if events.iter().any(|e| e.token == WAKER_TOKEN) {
                     wakers[0].drain();
                 }
                 loop {
@@ -2875,10 +2577,9 @@ mod ev {
                         Err(e) => {
                             report.failed_connections += 1;
                             report.last_error = Some(format!("accept: {e}"));
-                            // Avoid a hot error loop on a persistent
-                            // accept failure; readiness is level-
-                            // triggered, so nothing is lost.
-                            sleep_observing_stop(&stop, options.poll_interval);
+                            // Readiness is level-triggered, so nothing
+                            // is lost by pausing.
+                            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                             break;
                         }
                     }

@@ -10,7 +10,7 @@ use crate::PaillierError;
 use pp_bigint::{gen_prime, random_coprime, BigUint, MontgomeryCtx};
 use pp_stream_runtime::pool::WorkerPool;
 use rand::Rng;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Paillier public key: the modulus `n`, with precomputed `n²` and a shared
 /// Montgomery context for `n²` (built once per key, reused for every tensor
@@ -340,11 +340,11 @@ impl PrivateKey {
     /// Decrypts with the two CRT halves on separate workers. The halves
     /// are fully independent `~bits/2` exponentiations, so on two cores
     /// this approaches 2× the sequential CRT path. Falls back to
-    /// sequential below [`decrypt_par_min_bits`] (the spawn/park
+    /// sequential below [`DECRYPT_PAR_MIN_BITS`] (the spawn/park
     /// overhead dwarfs a small-key exponentiation) or when `workers`
     /// has no real parallelism.
     pub fn decrypt_crt_parallel(&self, c: &Ciphertext, workers: &WorkerPool) -> BigUint {
-        if workers.size() < 2 || self.public.bits() < decrypt_par_min_bits() {
+        if workers.size() < 2 || self.public.bits() < DECRYPT_PAR_MIN_BITS {
             return self.decrypt(c);
         }
         self.decrypt_crt_parallel_unchecked(c, workers)
@@ -373,7 +373,7 @@ impl PrivateKey {
     /// smaller than the pool. Sequential below the same cutoff as
     /// [`PrivateKey::decrypt_crt_parallel`].
     pub fn decrypt_batch(&self, cts: &[Ciphertext], workers: &WorkerPool) -> Vec<BigUint> {
-        if workers.size() < 2 || self.public.bits() < decrypt_par_min_bits() {
+        if workers.size() < 2 || self.public.bits() < DECRYPT_PAR_MIN_BITS {
             return cts.iter().map(|c| self.decrypt(c)).collect();
         }
         if cts.len() == 1 {
@@ -468,16 +468,8 @@ impl PrivateKey {
 
 /// Key size (bits of `n`) below which parallel CRT decryption is not
 /// worth the hand-off: the two half exponentiations must each outweigh
-/// a worker wake-up. Override with `PP_DECRYPT_PAR_MIN_BITS`.
-fn decrypt_par_min_bits() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| {
-        std::env::var("PP_DECRYPT_PAR_MIN_BITS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1024)
-    })
-}
+/// a worker wake-up.
+const DECRYPT_PAR_MIN_BITS: usize = 1024;
 
 #[cfg(test)]
 mod tests {

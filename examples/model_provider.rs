@@ -27,11 +27,10 @@
 //! quarantined poison items, load sheds) appear in the final report.
 //!
 //! Serving at scale: `PP_MAX_WORKERS=n` sets the event-loop shard count
-//! (connections are distributed round-robin across shards),
+//! (connections are distributed round-robin across shards), and
 //! `PP_GATHER_WINDOW_US=µs` enables cross-session batching (linear
 //! rounds from different sessions arriving within the window run as one
-//! fused dispatch), and `PP_EVLOOP=0` forces the legacy
-//! thread-per-connection supervisor.
+//! fused dispatch).
 //!
 //! Crash durability: set `PP_JOURNAL_DIR=/path` to journal every
 //! session-table transition to `/path/sessions.journal` — a restarted
@@ -126,8 +125,8 @@ fn main() {
         return;
     }
 
-    // Supervised multi-client mode: a bounded worker pool where each
-    // connection is isolated, running until the process is killed.
+    // Supervised multi-client mode: the event loop, each connection
+    // isolated, running until the process is killed.
     let defaults = ServeOptions::default();
     let options = ServeOptions {
         max_sessions: std::env::var("PP_MAX_SESSIONS").ok().and_then(|v| v.parse().ok()),
@@ -146,17 +145,8 @@ fn main() {
         println!("[model-provider] admission control: at most {cap} concurrent sessions");
     }
     println!(
-        "[model-provider] serving shape: {} workers, gather window {:?}, event loop {}",
-        options.max_workers,
-        options.gather_window,
-        if pp_stream::evloop::supported()
-            && !options.legacy_threaded
-            && std::env::var("PP_EVLOOP").as_deref() != Ok("0")
-        {
-            "on"
-        } else {
-            "off (legacy threaded)"
-        }
+        "[model-provider] serving shape: {} shards, gather window {:?}",
+        options.max_workers, options.gather_window
     );
     let provider = std::sync::Arc::new(provider);
     let _handle = provider.serve_forever(listener, options).expect("spawn server");

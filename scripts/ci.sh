@@ -22,33 +22,30 @@ run_serving_gate() {
 # Crash gate: SIGKILL a real server child mid-stream under two fixed
 # seeded schedules (one per fsync policy), warm-restart it on the same
 # journal, and require bit-identical classifications plus exact
-# client/server replay-counter agreement — on both serve paths. Then
-# prove journaling stays opt-in: with no journal configured, the chaos
-# suite must behave exactly as before the journal existed.
+# client/server replay-counter agreement. Then prove journaling stays
+# opt-in: with no journal configured, the chaos suite must behave
+# exactly as it does without one.
 run_crash_gate() {
-    echo "==> crash gate: SIGKILL + journal warm restart, event loop on and off"
-    PP_EVLOOP=1 cargo test -p pp-stream --test crash -q
-    PP_EVLOOP=0 cargo test -p pp-stream --test crash -q
+    echo "==> crash gate: SIGKILL + journal warm restart"
+    cargo test -p pp-stream --test crash -q
     echo "==> crash gate: journaling disabled leaves the serve path unchanged"
     PP_FAULT_SEED=1 cargo test -p pp-stream --test chaos -q -- \
       chaos_kill_every expired_session_rejects_resume
 }
 
 # Fuzz gate: seeded structure-aware wire fuzzing against a live server
-# on both serve paths under two fixed seeds — no panics, no hangs past
-# the watchdog, inflated prefixes refused at the governor ceiling —
-# plus the adversarial-peer governor tests (oversize prefix survival,
+# under two fixed seeds — no panics, no hangs past the watchdog,
+# inflated prefixes refused at the governor ceiling — plus the
+# adversarial-peer governor tests (oversize prefix survival,
 # slow-consumer eviction + resume). Then the existing chaos seeds are
 # re-run once with explicit (tightened) governor budgets to prove the
 # limits don't disturb well-behaved fault-injected traffic.
 run_fuzz_gate() {
-    echo "==> fuzz gate: seeded wire fuzzing, both serve paths, seeds 11 and 17"
+    echo "==> fuzz gate: seeded wire fuzzing, seeds 11 and 17"
     for seed in 11 17; do
-        for ev in 0 1; do
-            PP_FUZZ_SEED=$seed PP_EVLOOP=$ev cargo test -p pp-stream --test fuzz -q
-            PP_EVLOOP=$ev cargo test -p pp-stream --test governor -q
-        done
+        PP_FUZZ_SEED=$seed cargo test -p pp-stream --test fuzz -q
     done
+    cargo test -p pp-stream --test governor -q
     echo "==> fuzz gate: chaos seeds unchanged under explicit governor budgets"
     PP_MAX_FRAME=$((256 * 1024 * 1024)) \
     PP_WRITE_BACKLOG=$((32 * 1024 * 1024)) \
@@ -112,7 +109,18 @@ cargo run --release -p pp-bench --bin bench_kernels -- --packed-gate
 
 run_serving_gate
 
+echo "==> benchmark package builds and passes its own tests against this tree"
+cargo test --offline --manifest-path benchmark/Cargo.toml --workspace
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# There is one serving driver and one readiness backend. The bracket in
+# each pattern keeps this file from matching itself.
+echo "==> single-driver gate: no second serve path, no raw-syscall backend"
+if grep -rnE 'PP_EVLOO[P]|legacy_threade[d]|as[m]!|epol[l]' crates tests examples scripts; then
+    echo "a deleted serve path or backend reappeared (matches above)" >&2
+    exit 1
+fi
 
 echo "==> CI gate passed"

@@ -110,8 +110,7 @@ impl Drop for ChildGuard {
 
 /// Spawns this very test binary in server-child mode: the `#[ignore]`d
 /// `crash_server_child` test below, selected with `--exact --ignored`.
-/// `PP_EVLOOP` (and the rest of the environment) is inherited, so the
-/// CI gate exercises both serve paths by exporting it around the run.
+/// The environment is inherited.
 /// Stdout/stderr go to a log file in the scratch dir: inheriting the
 /// harness's pipes would hold them open past the parent test's exit.
 fn spawn_child(

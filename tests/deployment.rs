@@ -597,36 +597,39 @@ fn busy_flood_is_bounded_and_server_stays_responsive() {
 }
 
 #[test]
-fn threaded_rejecter_flood_cannot_spawn_unbounded_threads() {
-    // Regression for the legacy thread-per-connection supervisor:
-    // `reject_busy` used to spawn one detached thread per over-capacity
-    // connection with no cap and no read-timeout bound, so a slow-loris
-    // flood of silent connects grew threads without limit. The cap is 32
-    // concurrent rejecters; beyond it connections close unanswered.
+fn silent_over_cap_flood_costs_no_threads_and_is_closed_at_the_drain_bound() {
+    // A slow-loris flood of silent connects against a full server: the
+    // event loop parks each refused connection on a shard (a table
+    // entry, never a thread), waits at most the 2 s drain bound for a
+    // hello that never comes, and closes it.
     let Ok(dir) = std::fs::read_dir("/proc/self/task") else {
         return; // no /proc thread accounting on this platform
     };
-    let baseline = dir.count();
+    drop(dir);
 
     let scaled = mlp_model("loris-mlp", &[4, 6, 3]);
     let config = NetConfig::small_test(128);
     let provider = std::sync::Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let options =
-        ServeOptions { max_sessions: Some(1), legacy_threaded: true, ..ServeOptions::default() };
+    let options = ServeOptions { max_sessions: Some(1), ..ServeOptions::default() };
     let handle = provider.serve_forever(listener, options).expect("spawn server");
     let addr = handle.addr();
 
     let mut session = NetworkedSession::connect(addr, scaled, &config).expect("occupant");
+    // Acceptor, shards and both worker pools are up: from here on the
+    // flood may add table entries, not threads.
+    let baseline = std::fs::read_dir("/proc/self/task").expect("/proc").count();
 
-    // 96 slow-loris clients: connect, never send the hello the rejecter
-    // wants to drain, never read — each held socket pins its rejecter
-    // until the drain bound trips.
+    // 96 slow-loris clients: connect, never send the hello the server
+    // wants to drain before it answers Busy, never write at all.
+    let flood_start = std::time::Instant::now();
     let held: Vec<std::net::TcpStream> =
         (0..96).filter_map(|_| std::net::TcpStream::connect(addr).ok()).collect();
     assert!(held.len() >= 90, "the flood must mostly connect");
 
-    // Sample the process thread count while the flood is being absorbed.
+    // Sample the process thread count while the flood is parked. Other
+    // tests of this binary start and stop threads meanwhile, hence the
+    // margin — one thread per held connection would overshoot it twice.
     let mut peak = 0usize;
     for _ in 0..20 {
         if let Ok(dir) = std::fs::read_dir("/proc/self/task") {
@@ -634,40 +637,185 @@ fn threaded_rejecter_flood_cannot_spawn_unbounded_threads() {
         }
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
-    let cap = 32; // MAX_REJECTERS in crates/core/src/net.rs
     assert!(
-        peak <= baseline + cap + 16,
-        "rejecter threads must be capped: baseline {baseline}, peak {peak}"
+        peak < baseline + 48,
+        "refused connections must not cost threads: baseline {baseline}, peak {peak}"
     );
 
+    // The occupant streams while the flood is still parked.
     session.classify_stream(&stream_inputs(1, 4)).expect("occupant survives the flood");
+
+    // Every flooder is closed by the server once the drain bound (2 s,
+    // REJECT_DRAIN_BOUND in crates/core/src/net) runs out.
+    for (i, mut sock) in held.into_iter().enumerate() {
+        use std::io::Read;
+        sock.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("read timeout");
+        let mut buf = [0u8; 16];
+        match sock.read(&mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("flooder {i} was not closed by the server: {other:?}"),
+        }
+    }
+    let closed_after = flood_start.elapsed();
+    assert!(
+        closed_after < std::time::Duration::from_millis(3500),
+        "silent connects must be dropped at the 2 s drain bound, took {closed_after:?}"
+    );
+
     assert!(session.shutdown().clean_shutdown);
-    drop(held);
+    let report = handle.shutdown();
+    assert_eq!(report.rejected_busy, report.connections - 1, "all non-occupants were rejected");
+    assert!(report.rejected_busy >= 90);
+    assert_eq!(report.requests, 1, "the occupant's stream was untouched by the flood");
+    assert_eq!(report.failed_connections, 0, "a silent refusal is not a failed connection");
+    assert!(report.clean_shutdown);
+}
+
+/// A provider whose connections are dropped after 200 ms of silence,
+/// and the (patient) client configuration to talk to it.
+fn short_read_timeout_provider(
+    name: &str,
+) -> (ScaledModel, NetConfig, std::sync::Arc<ModelProvider>) {
+    let scaled = mlp_model(name, &[4, 6, 3]);
+    let client_config = NetConfig::small_test(128);
+    let mut server_config = client_config.clone();
+    server_config.tcp.read_timeout = Some(std::time::Duration::from_millis(200));
+    let provider =
+        std::sync::Arc::new(ModelProvider::new(&scaled, &server_config).expect("provider"));
+    (scaled, client_config, provider)
+}
+
+#[test]
+fn silent_connection_gives_its_admission_slot_back_at_the_read_timeout() {
+    // Regression: the event loop ignored `TcpConfig::read_timeout`, so a
+    // peer that connected and never sent a Hello held its fd and its
+    // admission slot forever — with `max_sessions: Some(1)` one silent
+    // connect locked every real client into Busy retries.
+    let (scaled, config, provider) = short_read_timeout_provider("silent-mlp");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let options = ServeOptions { max_sessions: Some(1), ..ServeOptions::default() };
+    let handle = provider.serve_forever(listener, options).expect("spawn server");
+    let addr = handle.addr();
+
+    let silent = std::net::TcpStream::connect(addr).expect("silent peer connects");
+    let t0 = std::time::Instant::now();
+    let mut session = loop {
+        match NetworkedSession::connect(addr, scaled.clone(), &config) {
+            Ok(session) => break session,
+            Err(e) => assert!(
+                t0.elapsed() < std::time::Duration::from_millis(1500),
+                "a silent connection still blocks real clients after {:?}: {e}",
+                t0.elapsed()
+            ),
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    session.classify_stream(&stream_inputs(1, 4)).expect("the real client is served");
+    assert!(session.shutdown().clean_shutdown);
+    drop(silent);
 
     let report = handle.shutdown();
-    // Every accepted flooder was counted as a busy rejection at the
-    // acceptor, whether or not a rejecter thread answered it.
-    assert_eq!(report.rejected_busy, report.connections - 1, "all non-occupants were rejected");
-    assert!(report.rejected_busy >= 33, "the flood must overrun the rejecter cap");
+    assert_eq!(report.failed_connections, 1, "the silent connection failed: {report:?}");
+    let err = report.last_error.as_deref().unwrap_or_default();
+    assert!(err.contains("timeout") && err.contains("handshake"), "{err}");
     assert_eq!(report.requests, 1);
     assert!(report.clean_shutdown);
 }
 
 #[test]
-fn shutdown_latency_is_bounded_by_wakeup_not_poll_interval() {
-    // Regression: `ServerHandle::stop` used to be observed only when a
-    // `poll_interval` sleep expired, so a coarse interval meant a slow
-    // drain. The event loop sleeps in its poller and `shutdown()` wakes
-    // it explicitly; the legacy supervisor slices its idle sleeps to
-    // observe the flag — a 5s interval must not cost 5s of shutdown on
-    // either path.
+fn shutdown_does_not_wait_for_an_idle_session_past_the_read_timeout() {
+    // Regression: an authenticated client that went quiet was never
+    // dropped by the event loop, so `ServerHandle::shutdown` (which
+    // drains live connections) blocked for as long as the client stayed
+    // connected. The read timeout now bounds it, and the dropped
+    // connection's session stays resumable.
+    let (scaled, config, provider) = short_read_timeout_provider("idle-mlp");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = provider.serve_forever(listener, ServeOptions::default()).expect("spawn server");
+
+    let mut session =
+        NetworkedSession::connect(handle.addr(), scaled, &config).expect("connect + handshake");
+    session.classify_stream(&stream_inputs(1, 4)).expect("inference");
+
+    // The session stays connected, and silent, across the shutdown.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let _ = done_tx.send(handle.shutdown());
+    });
+    let report = done_rx
+        .recv_timeout(std::time::Duration::from_millis(1500))
+        .expect("shutdown must not wait for an idle client beyond its read timeout");
+    stopper.join().expect("shutdown thread");
+
+    assert_eq!(report.requests, 1);
+    assert_eq!(report.failed_connections, 1, "the idle connection timed out: {report:?}");
+    let err = report.last_error.as_deref().unwrap_or_default();
+    assert!(err.contains("timeout") && err.contains("linear request"), "{err}");
+    assert_eq!(provider.active_sessions(), 1, "the timed-out session stays resumable");
+    drop(session);
+}
+
+#[test]
+fn read_timeout_expiry_is_counted_alike_by_the_event_loop_and_the_blocking_shell() {
+    // One scenario on both drivers: a peer connects and stays silent
+    // past the read timeout, then a real client streams one item and
+    // says Bye. Every counter must agree, and both must name the
+    // timeout and the stage it hit.
+    fn scenario(
+        addr: std::net::SocketAddr,
+        scaled: &ScaledModel,
+        config: &NetConfig,
+    ) {
+        use std::io::Read;
+        let mut silent = std::net::TcpStream::connect(addr).expect("silent peer connects");
+        silent.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("read timeout");
+        // Both drivers close the silent connection without a reply.
+        let mut buf = [0u8; 16];
+        assert!(matches!(silent.read(&mut buf), Ok(0)), "silent peer must see a bare close");
+        let mut session =
+            NetworkedSession::connect(addr, scaled.clone(), config).expect("connect + handshake");
+        session.classify_stream(&stream_inputs(1, 4)).expect("inference");
+        assert!(session.shutdown().clean_shutdown);
+    }
+
+    let (scaled, config, provider) = short_read_timeout_provider("parity-mlp");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = provider.serve_forever(listener, ServeOptions::default()).expect("spawn server");
+    scenario(handle.addr(), &scaled, &config);
+    let looped = handle.shutdown();
+
+    let (scaled, config, provider) = short_read_timeout_provider("parity-mlp");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    scenario(addr, &scaled, &config);
+    let blocking = server.join().expect("server thread");
+
+    for report in [&looped, &blocking] {
+        assert_eq!(report.connections, 2, "{report:?}");
+        assert_eq!(report.failed_connections, 1, "{report:?}");
+        assert_eq!(report.rejected_handshakes, 0, "a timeout is not a refused hello: {report:?}");
+        assert_eq!(report.requests, 1, "{report:?}");
+        assert!(report.clean_shutdown);
+        let err = report.last_error.as_deref().unwrap_or_default();
+        assert!(err.contains("timeout") && err.contains("handshake"), "{err}");
+    }
+    assert_eq!(
+        (looped.frames_in, looped.frames_out, looped.bytes_in, looped.bytes_out),
+        (blocking.frames_in, blocking.frames_out, blocking.bytes_in, blocking.bytes_out),
+    );
+}
+
+#[test]
+fn shutdown_latency_is_bounded_by_wakeup() {
+    // `ServerHandle::shutdown` wakes the acceptor and every shard out of
+    // their pollers; nothing waits out a timer.
     let scaled = mlp_model("drain-mlp", &[4, 6, 3]);
     let config = NetConfig::small_test(128);
     let provider = std::sync::Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let options =
-        ServeOptions { poll_interval: std::time::Duration::from_secs(5), ..ServeOptions::default() };
-    let handle = provider.serve_forever(listener, options).expect("spawn server");
+    let handle = provider.serve_forever(listener, ServeOptions::default()).expect("spawn server");
 
     // One served-and-closed session proves the loop is live (not stuck
     // in a startup path that would make a fast shutdown vacuous).
@@ -681,7 +829,7 @@ fn shutdown_latency_is_bounded_by_wakeup_not_poll_interval() {
     let elapsed = t0.elapsed();
     assert!(
         elapsed < std::time::Duration::from_secs(2),
-        "stop must wake the acceptor and shards, not wait out poll_interval: {elapsed:?}"
+        "stop must wake the acceptor and shards: {elapsed:?}"
     );
     assert_eq!(report.requests, 1);
     assert!(report.clean_shutdown);

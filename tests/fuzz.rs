@@ -22,8 +22,7 @@
 //!    a stream against the same server.
 //!
 //! Deterministic per seed: `PP_FUZZ_SEED=<n>` (default 11) replays the
-//! exact campaign. `scripts/ci.sh --fuzz-gate` runs ≥2 fixed seeds on
-//! both `PP_EVLOOP` paths.
+//! exact campaign. `scripts/ci.sh --fuzz-gate` runs ≥2 fixed seeds.
 
 use pp_nn::{zoo, ScaledModel};
 use pp_paillier::Keypair;
@@ -122,8 +121,7 @@ fn fire(addr: SocketAddr, stream_bytes: Vec<u8>) {
     }
 }
 
-/// The campaign. Runs under whichever serving path `PP_EVLOOP`
-/// selects; the CI fuzz gate exports both values across ≥2 seeds.
+/// The campaign; the CI fuzz gate runs it across ≥2 seeds.
 #[test]
 fn seeded_wire_fuzzing_never_panics_hangs_or_overallocates() {
     let scaled = mlp_model();

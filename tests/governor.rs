@@ -102,16 +102,11 @@ fn connect_raw(addr: SocketAddr) -> TcpStream {
     sock
 }
 
-fn evloop_enabled() -> bool {
-    std::env::var("PP_EVLOOP").map(|v| v != "0").unwrap_or(true)
-}
-
 /// The headline oversize scenario: an unauthenticated peer claims a
 /// 1 GiB frame with a 20-byte header. The server must refuse it at the
 /// pre-auth ceiling — before allocating anything — count it in
 /// [`pp_stream::ServeReport::oversize_frames`], and keep serving real
-/// clients afterwards. Runs on whichever serving path `PP_EVLOOP`
-/// selects; the CI gate exports both.
+/// clients afterwards.
 #[test]
 fn oversize_length_prefix_is_refused_and_the_server_survives() {
     let scaled = mlp_model("governor-mlp");
@@ -170,16 +165,9 @@ fn oversize_length_prefix_is_refused_and_the_server_survives() {
 /// never reads a single reply must be evicted once its reply backlog
 /// crosses [`GovernorConfig::write_backlog`] — with the `evicted_slow`
 /// counter incremented, the session entry *kept* (journal-backed), and
-/// a successful resume + clean Bye afterwards. Backlog eviction lives
-/// in the readiness event loop, so the test is a no-op under
-/// `PP_EVLOOP=0` (the legacy threaded path applies write timeouts
-/// instead).
+/// a successful resume + clean Bye afterwards.
 #[test]
 fn never_reading_client_is_evicted_then_resumes_cleanly() {
-    if !evloop_enabled() {
-        eprintln!("skipping: slow-consumer eviction is an event-loop behavior (PP_EVLOOP=0)");
-        return;
-    }
     let scaled = mlp_model("governor-mlp");
     let mut config = NetConfig::small_test(128);
     // Tiny backlog cap so the eviction fires after the kernel's socket

@@ -117,12 +117,7 @@ fn soak(n_clients: usize, items_per_client: u64, gather_window: Duration) {
     assert_eq!(report.shed + report.deadline_expired + report.quarantined, 0);
     assert!(report.clean_shutdown);
 
-    // The batcher only exists on the event-loop path; `PP_EVLOOP=0`
-    // (or an unsupported platform) serves per-session regardless of
-    // the window, so only the counter agreement above applies there.
-    let evloop_active =
-        pp_stream::evloop::supported() && std::env::var("PP_EVLOOP").as_deref() != Ok("0");
-    if gather_window > Duration::ZERO && evloop_active {
+    if gather_window > Duration::ZERO {
         assert!(
             report.batched_rounds > 0,
             "a nonzero gather window must route jobs through the batcher"
