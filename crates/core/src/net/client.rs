@@ -1,0 +1,1185 @@
+//! [`NetworkedSession`]: the data provider's client — handshake, the
+//! per-item and packed round loops, reconnect-and-resume, failover.
+
+use super::config::NetConfig;
+use super::conn::{pk_fingerprint, topology_digest};
+use super::report::TransportReport;
+#[cfg(doc)]
+use super::ModelProvider;
+use crate::encapsulate::{encapsulate_with, StageRole};
+use crate::messages::{
+    AcceptMsg, AckMsg, ByeMsg, HelloMsg, ItemErrorKind, ItemErrorMsg, MsgTag, PlainTensorMsg,
+    RejectCode, RejectMsg, ResumeMsg, PROTOCOL_VERSION,
+};
+use crate::packed;
+use crate::protocol::{EncryptStage, NonLinearStage};
+use crate::session::RunReport;
+use crate::CoreError;
+use bytes::Bytes;
+use parking_lot::Mutex;
+use pp_nn::scaling::ScaledModel;
+use pp_paillier::packing::PackingSpec;
+use pp_paillier::{Keypair, RandomnessPool};
+#[cfg(feature = "fault-injection")]
+use pp_stream_runtime::fault::{FaultPlan, FaultReceiver, FaultSender, FaultState};
+use pp_stream_runtime::link::Frame;
+use pp_stream_runtime::wire::{from_frame, to_frame};
+use pp_stream_runtime::{
+    tcp, FrameReceiver, FrameSender, StreamError, TcpConfig, TcpFrameReceiver, TcpFrameSender,
+    TransportErrorKind, WorkerPool,
+};
+use pp_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+fn handshake_err(context: impl Into<String>) -> StreamError {
+    StreamError::transport(TransportErrorKind::Handshake, context)
+}
+
+/// Client-side handle on the shared fault state; `()` when the
+/// `fault-injection` feature is off, so the session struct and the
+/// reconnect path carry zero cost in release deployments.
+#[cfg(feature = "fault-injection")]
+type FaultHook = Option<Arc<Mutex<FaultState>>>;
+#[cfg(not(feature = "fault-injection"))]
+type FaultHook = ();
+
+#[cfg(feature = "fault-injection")]
+fn fault_hook(config: &NetConfig) -> FaultHook {
+    config.fault.clone().filter(FaultPlan::is_active).map(FaultPlan::into_state)
+}
+#[cfg(not(feature = "fault-injection"))]
+fn fault_hook(_config: &NetConfig) -> FaultHook {}
+
+/// Boxes the freshly handshaken halves, wrapping them in the fault
+/// injectors when a plan is active. Handshake and resume frames travel
+/// on the raw halves *before* this call, so injected kills never starve
+/// the recovery path itself.
+#[cfg(feature = "fault-injection")]
+fn wrap_transport(
+    tx: TcpFrameSender,
+    rx: TcpFrameReceiver,
+    hook: &FaultHook,
+) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
+    match hook {
+        Some(state) => (
+            Box::new(FaultSender::new(tx, Arc::clone(state))),
+            Box::new(FaultReceiver::new(rx, Arc::clone(state))),
+        ),
+        None => (Box::new(tx), Box::new(rx)),
+    }
+}
+#[cfg(not(feature = "fault-injection"))]
+fn wrap_transport(
+    tx: TcpFrameSender,
+    rx: TcpFrameReceiver,
+    _hook: &FaultHook,
+) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
+    (Box::new(tx), Box::new(rx))
+}
+
+#[cfg(feature = "fault-injection")]
+fn revive_fault(hook: &FaultHook) {
+    if let Some(state) = hook {
+        state.lock().revive();
+    }
+}
+#[cfg(not(feature = "fault-injection"))]
+fn revive_fault(_hook: &FaultHook) {}
+
+#[cfg(feature = "fault-injection")]
+fn fault_count(hook: &FaultHook) -> u64 {
+    hook.as_ref().map(|s| s.lock().faults_injected()).unwrap_or(0)
+}
+#[cfg(not(feature = "fault-injection"))]
+fn fault_count(_hook: &FaultHook) -> u64 {
+    0
+}
+
+/// One protocol step as seen from the client: a socket round trip to the
+/// server's next linear stage, or a local non-linear stage.
+enum ClientStep {
+    Linear { round: usize },
+    NonLinear(Box<NonLinearStage>),
+}
+
+/// Transient transport failures the resume loop recovers from; protocol
+/// violations (handshake, seq, decode, stage) stay fatal.
+fn is_transient(e: &StreamError) -> bool {
+    matches!(
+        e,
+        StreamError::Transport {
+            kind: TransportErrorKind::Send
+                | TransportErrorKind::Recv
+                | TransportErrorKind::Timeout
+                | TransportErrorKind::Eof
+                | TransportErrorKind::Connect,
+            ..
+        }
+    )
+}
+
+/// Backoff before retrying a Busy-rejected connect: the server's
+/// `retry_after_ms` hint, clamped into the retry policy's delay range.
+fn busy_backoff(retry: &pp_stream_runtime::RetryPolicy, hint_ms: u64) -> Duration {
+    let floor = retry.base_delay.min(retry.max_delay);
+    Duration::from_millis(hint_ms).clamp(floor, retry.max_delay.max(floor))
+}
+
+/// Connects to the first reachable provider address, sweeping the
+/// ordered list starting at `preferred` (wrapping). One bare attempt
+/// per address per sweep, with the retry policy's backoff *between*
+/// sweeps — so a down primary costs one refused connect before the next
+/// replica is tried, and `retry.max_attempts` bounds whole-list sweeps
+/// exactly as it bounds single-address attempts today. Returns the
+/// framed halves, the index that answered, and the individual connect
+/// attempts spent.
+fn connect_sweep(
+    addrs: &[SocketAddr],
+    preferred: usize,
+    config: &TcpConfig,
+) -> Result<(TcpFrameSender, TcpFrameReceiver, usize, u32), StreamError> {
+    let sweeps = config.retry.max_attempts.max(1);
+    // Jitter seed: decorrelate processes without pulling in a rand dep.
+    let seed = std::process::id() as u64 ^ 0x5bd1_e995_9950_57ea;
+    let single = TcpConfig {
+        retry: pp_stream_runtime::RetryPolicy::no_retry(),
+        ..config.clone()
+    };
+    let mut attempts = 0u32;
+    let mut last_err = None;
+    for sweep in 1..=sweeps {
+        let delay = config.retry.delay_before(sweep, seed);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        for offset in 0..addrs.len() {
+            let idx = (preferred + offset) % addrs.len();
+            attempts += 1;
+            match tcp::connect_with(addrs[idx], &single) {
+                Ok(c) => return Ok((c.tx, c.rx, idx, attempts)),
+                Err(e) => last_err = Some(e),
+            }
+        }
+    }
+    Err(last_err.unwrap_or_else(|| {
+        StreamError::transport(TransportErrorKind::Connect, "no provider addresses")
+    }))
+}
+
+/// Placeholder halves installed while a reconnect is in flight, so the
+/// dead socket drops (and the server sees its EOF) *before* the resume
+/// handshake waits on a reply.
+struct DeadHalf;
+
+fn dead_err() -> StreamError {
+    StreamError::transport(TransportErrorKind::Eof, "connection torn down for reconnect")
+}
+
+impl FrameSender for DeadHalf {
+    fn send(&mut self, _frame: &Frame) -> Result<(), StreamError> {
+        Err(dead_err())
+    }
+    fn send_payload(&mut self, _payload: Bytes) -> Result<u64, StreamError> {
+        Err(dead_err())
+    }
+    fn send_payload_deadline(
+        &mut self,
+        _payload: Bytes,
+        _deadline_ms: Option<u64>,
+    ) -> Result<u64, StreamError> {
+        Err(dead_err())
+    }
+}
+
+impl FrameReceiver for DeadHalf {
+    fn recv(&mut self) -> Result<Option<Frame>, StreamError> {
+        Err(dead_err())
+    }
+}
+
+/// The data-provider client: a connected, handshaken session against a
+/// [`ModelProvider`], with transparent reconnect-and-resume.
+pub struct NetworkedSession {
+    tx: Box<dyn FrameSender>,
+    rx: Box<dyn FrameReceiver>,
+    /// Ordered provider addresses; `addrs[addr_idx]` is serving now.
+    addrs: Vec<SocketAddr>,
+    addr_idx: usize,
+    tcp: TcpConfig,
+    scaled: ScaledModel,
+    steps: Vec<ClientStep>,
+    encrypt: EncryptStage,
+    /// Precomputed `r^n` blinding factors, refilled per stream off the
+    /// request path (shared with `encrypt`).
+    rand_pool: Arc<Mutex<RandomnessPool>>,
+    pool: WorkerPool,
+    transport: TransportReport,
+    session: u64,
+    /// Items fully delivered to the caller; doubles as the next item's
+    /// request seq, so a second `infer_stream` call keeps seqs unique
+    /// and the exactly-once floor intact.
+    items_done: u64,
+    topology: u64,
+    fingerprint: u64,
+    max_resumes: u32,
+    /// Per-item end-to-end budget ([`NetConfig::item_deadline`]).
+    item_deadline: Option<Duration>,
+    /// Stall-watchdog window on linear replies
+    /// ([`NetConfig::stall_window`]).
+    stall_window: Option<Duration>,
+    /// The packed-ciphertext layout negotiated at connect, or `None`
+    /// when the stream runs per-item (declined, disabled, or dropped
+    /// after a resume — resumed connections are always unpacked).
+    packing: Option<PackingSpec>,
+    /// Requested members per packed batch ([`NetConfig::pack_batch`];
+    /// 0 fills every slot the negotiated layout offers).
+    pack_batch: usize,
+    fault: FaultHook,
+}
+
+/// How one item of a partial stream ended — see
+/// [`NetworkedSession::infer_stream_partial`].
+#[derive(Clone, Debug)]
+pub enum ItemOutcome {
+    /// The item completed; the scaled output tensor.
+    Done(Tensor<i64>),
+    /// The item failed individually (shed, expired, or quarantined)
+    /// while the session survived. The item was **resolved**: its seq is
+    /// acked and it will never be retried by this session.
+    Failed {
+        /// Which overload outcome failed the item.
+        kind: ItemErrorKind,
+        /// Human-readable detail from the failing side.
+        detail: String,
+    },
+}
+
+impl ItemOutcome {
+    /// The output tensor, if the item completed.
+    pub fn output(&self) -> Option<&Tensor<i64>> {
+        match self {
+            ItemOutcome::Done(t) => Some(t),
+            ItemOutcome::Failed { .. } => None,
+        }
+    }
+}
+
+/// Internal per-item result: completed output, or a per-item failure
+/// that resolves the item without failing the session.
+enum ItemResult {
+    Output(PlainTensorMsg),
+    Failed { kind: ItemErrorKind, detail: String },
+}
+
+/// How one packed round set ended: every member's plaintext output, or
+/// an instruction to replay the members unpacked. `reset` asks for a
+/// reconnect first — the server may still hold batch round state (and
+/// stored permutations) that only a connection teardown releases.
+enum PackedRoundOutcome {
+    Done(Vec<PlainTensorMsg>),
+    Fallback { reset: bool },
+}
+
+/// Converts a resolved item into the caller-facing outcome. In strict
+/// mode a per-item failure errors the whole call.
+fn outcome_from(result: ItemResult, seq: u64, strict: bool) -> Result<ItemOutcome, CoreError> {
+    match result {
+        ItemResult::Output(out) => {
+            let shape: Vec<usize> = out.shape.iter().map(|&d| d as usize).collect();
+            let values = out
+                .values
+                .iter()
+                .map(|&v| {
+                    i64::try_from(v).map_err(|_| {
+                        CoreError::Runtime(format!(
+                            "final logit {v} for request {seq} does not fit i64"
+                        ))
+                    })
+                })
+                .collect::<Result<Vec<i64>, CoreError>>()?;
+            Ok(ItemOutcome::Done(
+                Tensor::from_vec(shape, values).map_err(|e| CoreError::Runtime(e.to_string()))?,
+            ))
+        }
+        ItemResult::Failed { kind, detail } => {
+            if strict {
+                return Err(CoreError::Runtime(format!(
+                    "request {seq} failed ({kind:?}): {detail}"
+                )));
+            }
+            Ok(ItemOutcome::Failed { kind, detail })
+        }
+    }
+}
+
+impl NetworkedSession {
+    /// Connects (with the configured retry/backoff), generates the
+    /// Paillier keypair, and performs the deployment handshake. A server
+    /// rejection or a version/echo mismatch surfaces as
+    /// `Transport { kind: Handshake, .. }`.
+    pub fn connect(
+        addr: impl ToSocketAddrs,
+        scaled: ScaledModel,
+        config: &NetConfig,
+    ) -> Result<Self, CoreError> {
+        Self::connect_any(&[addr], scaled, config)
+    }
+
+    /// As [`connect`](NetworkedSession::connect), but with an *ordered*
+    /// list of provider addresses: the first is preferred, and every
+    /// connect or resume failure against the current address fails over
+    /// to the next (wrapping), so a restarted provider — or a warm
+    /// replica sharing its journal directory — picks the stream up
+    /// mid-item. Each failover is counted in
+    /// [`TransportReport::failovers`]. The binaries read the list from
+    /// comma-separated `PP_PROVIDER_ADDRS`.
+    pub fn connect_any<A: ToSocketAddrs>(
+        providers: &[A],
+        scaled: ScaledModel,
+        config: &NetConfig,
+    ) -> Result<Self, CoreError> {
+        // Resolve once so reconnects don't depend on the generic addrs;
+        // list order (= failover priority) is preserved.
+        let mut addrs: Vec<SocketAddr> = Vec::new();
+        for provider in providers {
+            addrs.extend(provider.to_socket_addrs().map_err(|e| {
+                CoreError::from(StreamError::transport(
+                    TransportErrorKind::Connect,
+                    format!("resolve peer address: {e}"),
+                ))
+            })?);
+        }
+        if addrs.is_empty() {
+            return Err(CoreError::from(StreamError::transport(
+                TransportErrorKind::Connect,
+                "no provider addresses resolved",
+            )));
+        }
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let keypair = Keypair::generate(config.key_bits, &mut rng);
+        let stages = encapsulate_with(&scaled, config.merge_stages)?;
+        let topology = topology_digest(&stages, scaled.factor());
+
+        let pk_n = keypair.public().n().to_bytes_be();
+        let fingerprint = pk_fingerprint(&pk_n);
+        // Propose a packed-ciphertext layout sized for this key and
+        // model (the op budget covers the worst linear stage). An
+        // infeasible proposal silently degrades to per-item streaming.
+        let packing = if config.pack_slot_bits > 0 {
+            PackingSpec::for_key(&keypair.public(), config.pack_slot_bits)
+                .map(|s| s.with_budget(packed::required_budget(&stages)))
+                .and_then(|s| s.check().map(|()| s))
+                .ok()
+        } else {
+            None
+        };
+        let hello = to_frame(&HelloMsg {
+            version: PROTOCOL_VERSION,
+            pk_n,
+            pk_fingerprint: fingerprint,
+            topology,
+            n_stages: stages.len() as u32,
+            factor: scaled.factor(),
+            pack_slot_bits: packing.map_or(0, |s| s.slot_bits as u32),
+            pack_slots: packing.map_or(0, |s| s.slots as u32),
+            pack_budget: packing.map_or(0, |s| s.op_budget),
+        });
+
+        let mut transport = TransportReport::default();
+        // Busy-rejection backoff: an admission-controlled server answers
+        // the hello with `Reject { code: Busy, retry_after_ms }`. Honor
+        // the hint and retry within the connect retry budget instead of
+        // treating the rejection as fatal.
+        let mut attempt = 0u32;
+        let mut addr_idx = 0usize;
+        let (tx, rx, session, accepted_slot_bits) = loop {
+            attempt += 1;
+            let (mut tx, mut rx, idx, attempts) =
+                connect_sweep(&addrs, addr_idx, &config.tcp).map_err(CoreError::from)?;
+            transport.connect_attempts += attempts;
+            if idx != addr_idx {
+                // The preferred provider was unreachable; a lower-
+                // priority address answered instead.
+                transport.failovers += 1;
+                addr_idx = idx;
+            }
+            transport.bytes_sent += hello.len() as u64;
+            transport.frames_sent += 1;
+            tx.send_payload(hello.clone()).map_err(|e| e.at_stage("handshake hello"))?;
+
+            let reply = rx
+                .recv()
+                .map_err(|e| e.at_stage("handshake reply"))?
+                .ok_or_else(|| handshake_err("server closed without answering hello"))?;
+            transport.bytes_received += reply.payload.len() as u64;
+            transport.frames_received += 1;
+            match crate::messages::peek_tag(&reply.payload) {
+                Some(MsgTag::Accept) => {
+                    let accept: AcceptMsg = from_frame(reply.payload).map_err(CoreError::from)?;
+                    if accept.version != PROTOCOL_VERSION
+                        || accept.pk_fingerprint != fingerprint
+                        || accept.topology != topology
+                    {
+                        return Err(CoreError::from(handshake_err(
+                            "server accept did not echo the agreed parameters",
+                        )));
+                    }
+                    break (tx, rx, accept.session, accept.pack_slot_bits);
+                }
+                Some(MsgTag::Reject) => {
+                    let reject: RejectMsg = from_frame(reply.payload).map_err(CoreError::from)?;
+                    if reject.code == RejectCode::Busy
+                        && attempt < config.tcp.retry.max_attempts.max(1)
+                    {
+                        transport.rejected_busy += 1;
+                        std::thread::sleep(busy_backoff(
+                            &config.tcp.retry,
+                            reject.retry_after_ms,
+                        ));
+                        continue;
+                    }
+                    return Err(CoreError::from(handshake_err(format!(
+                        "server rejected handshake: {}",
+                        reject.reason
+                    ))));
+                }
+                _ => {
+                    return Err(CoreError::from(handshake_err(
+                        "unexpected reply to hello (neither accept nor reject)",
+                    )));
+                }
+            }
+        };
+
+        // The proposal stands only if the server echoed its slot width;
+        // an echo of 0 (or anything else) declines packing.
+        let packing = packing.filter(|s| accepted_slot_bits as usize == s.slot_bits);
+
+        // Client-side execution plan: socket round trips for linear
+        // stages, local executors for the rest (same construction as the
+        // in-process session, so results match bit-for-bit).
+        let n = stages.len();
+        let mut round = 0usize;
+        let steps = stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| match stage.role {
+                StageRole::Linear => {
+                    let step = ClientStep::Linear { round };
+                    round += 1;
+                    step
+                }
+                StageRole::NonLinear => ClientStep::NonLinear(Box::new(NonLinearStage {
+                    keypair: keypair.clone(),
+                    stage: stage.clone(),
+                    factor: scaled.factor(),
+                    is_last: i == n - 1,
+                    seed: config.seed ^ 0x2020 ^ (i as u64) << 8,
+                })),
+            })
+            .collect();
+
+        // Fault injection (when configured) wraps only the post-handshake
+        // traffic — the recovery path itself stays un-faulted.
+        let fault = fault_hook(config);
+        let (tx, rx) = wrap_transport(tx, rx, &fault);
+
+        // Seed the blinding-factor pool with the process-wide fixed-base
+        // table for this key: reconnects and sibling sessions under the
+        // same keypair reuse one comb table instead of rebuilding it.
+        let refill_base = pp_paillier::shared_refill_cache().get(&keypair.public());
+        let rand_pool =
+            Arc::new(Mutex::new(RandomnessPool::with_base(keypair.public(), refill_base)));
+        Ok(NetworkedSession {
+            tx,
+            rx,
+            addrs,
+            addr_idx,
+            tcp: config.tcp.clone(),
+            scaled,
+            steps,
+            encrypt: EncryptStage {
+                pk: keypair.public(),
+                seed: config.seed ^ 0x0E2C,
+                rand_pool: Some(Arc::clone(&rand_pool)),
+            },
+            rand_pool,
+            pool: WorkerPool::new(config.threads.max(1)),
+            transport,
+            session,
+            items_done: 0,
+            topology,
+            fingerprint,
+            max_resumes: config.max_resumes,
+            item_deadline: config.item_deadline,
+            stall_window: config.stall_window,
+            packing,
+            pack_batch: config.pack_batch,
+            fault,
+        })
+    }
+
+    /// Transport statistics so far.
+    pub fn transport(&self) -> &TransportReport {
+        &self.transport
+    }
+
+    /// The server-assigned session ID.
+    pub fn session(&self) -> u64 {
+        self.session
+    }
+
+    /// Streams inference requests through the deployment (sequentially,
+    /// one socket round trip per linear stage), returning the scaled
+    /// output tensors and a run report whose
+    /// [`transport`](RunReport::transport) field carries the socket-level
+    /// statistics. Transient transport failures are absorbed by the
+    /// reconnect-and-resume loop; only exhausted retries or protocol
+    /// violations surface as errors.
+    pub fn infer_stream(
+        &mut self,
+        inputs: &[Tensor<f64>],
+    ) -> Result<(Vec<Tensor<i64>>, RunReport), CoreError> {
+        let (outcomes, report) = self.run_stream(inputs, true)?;
+        let outputs = outcomes
+            .into_iter()
+            .map(|o| match o {
+                ItemOutcome::Done(t) => t,
+                ItemOutcome::Failed { .. } => unreachable!("strict mode errors on failed items"),
+            })
+            .collect();
+        Ok((outputs, report))
+    }
+
+    /// As [`infer_stream`](NetworkedSession::infer_stream), but per-item
+    /// overload failures (shed, deadline-expired, quarantined) are
+    /// returned as [`ItemOutcome::Failed`] entries instead of failing
+    /// the whole call — the session keeps streaming the remaining items.
+    /// Every item, failed or not, is resolved and acked: a failed item
+    /// is never silently retried (a quarantined one must not be).
+    pub fn infer_stream_partial(
+        &mut self,
+        inputs: &[Tensor<f64>],
+    ) -> Result<(Vec<ItemOutcome>, RunReport), CoreError> {
+        self.run_stream(inputs, false)
+    }
+
+    /// Partial-tolerant classification: `None` for items that failed
+    /// individually, the predicted class otherwise.
+    pub fn classify_stream_partial(
+        &mut self,
+        inputs: &[Tensor<f64>],
+    ) -> Result<(Vec<Option<usize>>, RunReport), CoreError> {
+        let (outcomes, report) = self.run_stream(inputs, false)?;
+        let classes =
+            outcomes.iter().map(|o| o.output().map(pp_nn::activation::argmax_i64)).collect();
+        Ok((classes, report))
+    }
+
+    /// The shared per-item loop behind the strict and partial streaming
+    /// APIs. In strict mode the first per-item failure errors the call;
+    /// in partial mode it becomes an [`ItemOutcome::Failed`] entry.
+    fn run_stream(
+        &mut self,
+        inputs: &[Tensor<f64>],
+        strict: bool,
+    ) -> Result<(Vec<ItemOutcome>, RunReport), CoreError> {
+        let t_run = Instant::now();
+        // Precompute the stream's worth of `r^n` blinding factors in
+        // parallel before the first request, so per-item encryption is a
+        // cheap multiply on the request path.
+        {
+            let need = inputs.len() * self.scaled.input_shape().len();
+            self.rand_pool.lock().refill_parallel(need, &self.pool, self.encrypt.seed ^ 0x5EED);
+        }
+        let mut latencies = Vec::with_capacity(inputs.len());
+        let mut outcomes = Vec::with_capacity(inputs.len());
+
+        let mut idx = 0usize;
+        while idx < inputs.len() {
+            let remaining = inputs.len() - idx;
+            // Chunk size under the negotiated packing (1 = per-item): a
+            // lone trailing item always travels unpacked — packing it
+            // would cost the batch protocol for no amortization.
+            let batch = match self.packing {
+                Some(spec) => {
+                    let want =
+                        if self.pack_batch == 0 { spec.slots } else { self.pack_batch.min(spec.slots) };
+                    want.min(remaining)
+                }
+                None => 1,
+            };
+            if batch >= 2 {
+                let t0 = Instant::now();
+                let base = self.items_done;
+                let plains: Vec<PlainTensorMsg> = inputs[idx..idx + batch]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, input)| {
+                        let scaled_in = self.scaled.scale_input(input);
+                        PlainTensorMsg {
+                            seq: base + j as u64,
+                            shape: input.shape().dims().iter().map(|&d| d as u64).collect(),
+                            values: scaled_in.data().iter().map(|&v| v as i128).collect(),
+                        }
+                    })
+                    .collect();
+                // One budget spans the whole batch: its members travel
+                // together, so they expire together.
+                let deadline = self.item_deadline.map(|budget| Instant::now() + budget);
+                match self.run_packed_batch(&plains, deadline) {
+                    PackedRoundOutcome::Done(results) => {
+                        self.items_done += batch as u64;
+                        self.send_ack();
+                        let per_item = t0.elapsed();
+                        self.transport.packed_items += batch as u64;
+                        for out in results {
+                            let seq = out.seq;
+                            latencies.push(per_item);
+                            outcomes.push(outcome_from(ItemResult::Output(out), seq, strict)?);
+                        }
+                        idx += batch;
+                        continue;
+                    }
+                    PackedRoundOutcome::Fallback { reset } => {
+                        self.transport.packed_fallbacks += 1;
+                        if reset {
+                            // The server may still track this batch (and
+                            // its stored permutations); reconnecting
+                            // clears both, and drops packing for the
+                            // rest of the stream (resumed connections
+                            // run unpacked).
+                            self.reconnect_and_resume().map_err(CoreError::from)?;
+                        }
+                        // Fall through: replay every member per-item.
+                    }
+                }
+            }
+            for input in &inputs[idx..idx + batch] {
+                let t0 = Instant::now();
+                let seq = self.items_done;
+                let scaled_in = self.scaled.scale_input(input);
+                let plain = PlainTensorMsg {
+                    seq,
+                    shape: input.shape().dims().iter().map(|&d| d as u64).collect(),
+                    values: scaled_in.data().iter().map(|&v| v as i128).collect(),
+                };
+                // The end-to-end budget is stamped once per item and spans
+                // every hop, resume, and replay of it.
+                let deadline = self.item_deadline.map(|budget| Instant::now() + budget);
+                let result = self.run_request(plain, deadline)?;
+                // Success and per-item failure both *resolve* the item: the
+                // seq is consumed and acked, so a failed item is never
+                // retried (a quarantined one must not be).
+                self.items_done += 1;
+                self.send_ack();
+                latencies.push(t0.elapsed());
+                outcomes.push(outcome_from(result, seq, strict)?);
+            }
+            idx += batch;
+        }
+
+        let makespan = t_run.elapsed();
+        // A stream can legitimately resolve zero items (empty input
+        // slice); dividing by `latencies.len()` would panic, so an empty
+        // stream reports a zero mean instead.
+        let mean_latency = if latencies.is_empty() {
+            Duration::ZERO
+        } else {
+            latencies.iter().sum::<Duration>() / latencies.len() as u32
+        };
+        self.transport.faults_injected = fault_count(&self.fault);
+        let mut transport = self.transport.clone();
+        transport.clean_shutdown = true; // no transport error reached here
+        let report = RunReport {
+            latencies,
+            makespan,
+            mean_latency,
+            // One physical link: request and reply directions.
+            link_bytes: vec![transport.bytes_sent, transport.bytes_received],
+            intra_stage_bytes: 0, // linear dispatch happens server-side
+            stage_names: self.stage_names(),
+            stage_busy: vec![],
+            stage_threads: vec![],
+            stages: vec![],
+            transport: Some(transport),
+            pool_misses: self.rand_pool.lock().misses(),
+        };
+        Ok((outcomes, report))
+    }
+
+    /// Streams requests and returns the predicted class per input.
+    pub fn classify_stream(
+        &mut self,
+        inputs: &[Tensor<f64>],
+    ) -> Result<(Vec<usize>, RunReport), CoreError> {
+        let (outputs, report) = self.infer_stream(inputs)?;
+        let classes = outputs.iter().map(pp_nn::activation::argmax_i64).collect();
+        Ok((classes, report))
+    }
+
+    /// Ends the session deliberately (Bye, so the server frees its
+    /// resume state and observes a clean shutdown) and returns the final
+    /// transport statistics. Best-effort: if the connection is dead, one
+    /// reconnect is attempted to deliver the Bye.
+    pub fn shutdown(mut self) -> TransportReport {
+        let bye = to_frame(&ByeMsg);
+        let len = bye.len() as u64;
+        let mut sent = self.tx.send_payload(bye.clone()).is_ok();
+        if !sent && self.reconnect_and_resume().is_ok() {
+            sent = self.tx.send_payload(bye).is_ok();
+        }
+        if sent {
+            self.transport.bytes_sent += len;
+            self.transport.frames_sent += 1;
+        }
+        self.transport.clean_shutdown = sent;
+        self.transport.faults_injected = fault_count(&self.fault);
+        self.transport
+    }
+
+    /// Runs one item to completion (or a per-item failure), absorbing
+    /// transient transport failures and watchdog-diagnosed stalls via
+    /// reconnect-and-resume (up to `max_resumes` cycles).
+    fn run_request(
+        &mut self,
+        plain: PlainTensorMsg,
+        deadline: Option<Instant>,
+    ) -> Result<ItemResult, CoreError> {
+        let mut resumes = 0u32;
+        loop {
+            let mut progressed = false;
+            let err = match self.try_request(&plain, deadline, &mut progressed) {
+                Ok(out) => return Ok(out),
+                Err(e) => e,
+            };
+            let recoverable = is_transient(&err) || matches!(err, StreamError::Stalled { .. });
+            if !recoverable || resumes >= self.max_resumes {
+                return Err(CoreError::from(err));
+            }
+            resumes += 1;
+            match self.reconnect_and_resume() {
+                Ok(()) => {
+                    if progressed {
+                        // The server saw at least round 0 of this
+                        // attempt; the retry is a true replay.
+                        self.transport.items_replayed += 1;
+                    }
+                }
+                Err(resume_err) => {
+                    // Surface the original failure; the failed recovery
+                    // is context, not the headline.
+                    return Err(CoreError::from(
+                        err.at_stage(&format!("after failed resume ({resume_err})")),
+                    ));
+                }
+            }
+        }
+    }
+
+    /// One attempt at a whole batch's round set as packed ciphertexts.
+    /// Never fails the call: anything short of full success asks the
+    /// caller to fall back to per-item replay (`reset` when the server
+    /// may still hold batch state that a reconnect must clear).
+    fn run_packed_batch(
+        &mut self,
+        plains: &[PlainTensorMsg],
+        deadline: Option<Instant>,
+    ) -> PackedRoundOutcome {
+        let Some(spec) = self.packing else {
+            return PackedRoundOutcome::Fallback { reset: false };
+        };
+        let Some(first) = plains.first() else {
+            return PackedRoundOutcome::Fallback { reset: false };
+        };
+        let key = first.seq;
+        let expected: Vec<u64> = plains.iter().map(|p| p.seq).collect();
+        let packed = {
+            let mut pool = self.rand_pool.lock();
+            packed::pack_plain_batch(&self.encrypt.pk, spec, plains, &mut pool, self.encrypt.seed)
+        };
+        let mut msg = match packed {
+            Ok(m) => m,
+            Err(_) => return PackedRoundOutcome::Fallback { reset: false },
+        };
+        let last = self.steps.len() - 1;
+        for (i, step) in self.steps.iter().enumerate() {
+            match step {
+                ClientStep::Linear { round } => {
+                    let budget_ms = match deadline {
+                        Some(d) => {
+                            let now = Instant::now();
+                            if now >= d {
+                                // Expired mid-flight: replay unpacked
+                                // (with fresh per-item budgets). Past
+                                // round 0 the server tracks the batch,
+                                // so the fallback must reconnect.
+                                return PackedRoundOutcome::Fallback { reset: *round > 0 };
+                            }
+                            Some((d - now).as_millis() as u64)
+                        }
+                        None => None,
+                    };
+                    let payload = to_frame(&msg);
+                    let len = payload.len() as u64;
+                    if self.tx.send_payload_deadline(payload, budget_ms).is_err() {
+                        // Dead socket: the per-item replay reconnects.
+                        return PackedRoundOutcome::Fallback { reset: false };
+                    }
+                    self.transport.bytes_sent += len;
+                    self.transport.frames_sent += 1;
+                    let t_recv = Instant::now();
+                    let frame = match self.rx.recv() {
+                        Ok(Some(frame)) => frame,
+                        Ok(None) | Err(_) => {
+                            return PackedRoundOutcome::Fallback { reset: false };
+                        }
+                    };
+                    self.transport.bytes_received += frame.payload.len() as u64;
+                    self.transport.frames_received += 1;
+                    if let Some(window) = self.stall_window {
+                        if t_recv.elapsed() > window {
+                            self.transport.stalls += 1;
+                            return PackedRoundOutcome::Fallback { reset: true };
+                        }
+                    }
+                    match crate::messages::peek_tag(&frame.payload) {
+                        Some(MsgTag::ItemError) => {
+                            // A PackedAbort already released the server's
+                            // batch state; any other error reply is a
+                            // protocol surprise worth a clean slate.
+                            let reset = match from_frame::<ItemErrorMsg>(frame.payload) {
+                                Ok(ie) => ie.kind != ItemErrorKind::PackedAbort || ie.seq != key,
+                                Err(_) => true,
+                            };
+                            return PackedRoundOutcome::Fallback { reset };
+                        }
+                        Some(MsgTag::PackedTensor) => {
+                            msg = match from_frame(frame.payload) {
+                                Ok(m) => m,
+                                Err(_) => return PackedRoundOutcome::Fallback { reset: true },
+                            };
+                            let elems =
+                                msg.shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
+                            if msg.seqs != expected
+                                || elems.map(|n| n as usize) != Some(msg.cts.len())
+                            {
+                                return PackedRoundOutcome::Fallback { reset: true };
+                            }
+                            self.transport.packed_rounds += 1;
+                        }
+                        _ => return PackedRoundOutcome::Fallback { reset: true },
+                    }
+                }
+                ClientStep::NonLinear(nl) => {
+                    if i == last {
+                        return match packed::unpack_final(nl, msg, &self.pool) {
+                            Ok(outputs) => PackedRoundOutcome::Done(outputs),
+                            Err(_) => PackedRoundOutcome::Fallback { reset: true },
+                        };
+                    }
+                    msg = match packed::repack_nonlinear(nl, msg, &self.pool) {
+                        Ok(m) => m,
+                        Err(_) => return PackedRoundOutcome::Fallback { reset: true },
+                    };
+                }
+            }
+        }
+        PackedRoundOutcome::Fallback { reset: true }
+    }
+
+    /// One attempt at an item's full round set over the current
+    /// connection. `progressed` flips once the server has seen round 0,
+    /// so the caller can count true replays.
+    fn try_request(
+        &mut self,
+        plain: &PlainTensorMsg,
+        deadline: Option<Instant>,
+        progressed: &mut bool,
+    ) -> Result<ItemResult, StreamError> {
+        let seq = plain.seq;
+        let mut msg = self.encrypt.encrypt(plain.clone(), &self.pool);
+        let last = self.steps.len() - 1;
+        for (i, step) in self.steps.iter().enumerate() {
+            match step {
+                ClientStep::Linear { round } => {
+                    let stage_name = format!("linear-{round}@model (request {seq})");
+                    // Remaining budget for this hop, re-stamped as a
+                    // relative duration (never a wall timestamp, so the
+                    // peers' clocks need not agree). An exhausted budget
+                    // sheds the item client-side before the send.
+                    let budget_ms = match deadline {
+                        Some(d) => {
+                            let now = Instant::now();
+                            if now >= d {
+                                self.transport.deadline_expired += 1;
+                                return Ok(ItemResult::Failed {
+                                    kind: ItemErrorKind::DeadlineExpired,
+                                    detail: format!(
+                                        "budget exhausted before the {stage_name} send"
+                                    ),
+                                });
+                            }
+                            Some((d - now).as_millis() as u64)
+                        }
+                        None => None,
+                    };
+                    let payload = to_frame(&msg);
+                    let len = payload.len() as u64;
+                    self.tx
+                        .send_payload_deadline(payload, budget_ms)
+                        .map_err(|e| e.at_stage(&format!("{stage_name} send")))?;
+                    *progressed = true;
+                    self.transport.bytes_sent += len;
+                    self.transport.frames_sent += 1;
+                    let t_recv = Instant::now();
+                    let frame = self
+                        .rx
+                        .recv()
+                        .map_err(|e| e.at_stage(&format!("{stage_name} reply")))?
+                        .ok_or_else(|| {
+                            StreamError::transport(
+                                TransportErrorKind::Eof,
+                                format!("server closed before the {stage_name} reply"),
+                            )
+                        })?;
+                    self.transport.bytes_received += frame.payload.len() as u64;
+                    self.transport.frames_received += 1;
+                    // Stall watchdog: a reply that took longer than the
+                    // window marks the connection as alive-but-stuck.
+                    // The late frame is discarded and the item recovered
+                    // by reconnect-and-resume — replay is bit-identical,
+                    // so dropping a valid reply is safe.
+                    if let Some(window) = self.stall_window {
+                        if t_recv.elapsed() > window {
+                            self.transport.stalls += 1;
+                            return Err(StreamError::Stalled { stage: stage_name });
+                        }
+                    }
+                    // A per-item error reply fails this item and leaves
+                    // the session streaming.
+                    if matches!(
+                        crate::messages::peek_tag(&frame.payload),
+                        Some(MsgTag::ItemError)
+                    ) {
+                        let ie: ItemErrorMsg = from_frame(frame.payload)?;
+                        if ie.seq != seq {
+                            return Err(StreamError::Stage(format!(
+                                "{stage_name}: item-error reply carries seq {} (misrouted)",
+                                ie.seq
+                            )));
+                        }
+                        match ie.kind {
+                            ItemErrorKind::DeadlineExpired => {
+                                self.transport.deadline_expired += 1
+                            }
+                            ItemErrorKind::Quarantined => self.transport.quarantined += 1,
+                            ItemErrorKind::Shed => self.transport.shed += 1,
+                            // Only packed rounds are answered with an
+                            // abort; for an unpacked item it still
+                            // resolves the item like any other failure.
+                            ItemErrorKind::PackedAbort => {}
+                            // CorruptReply is raised client-side; an
+                            // honest server never sends it, but a wire
+                            // message carrying it still just fails the
+                            // one item.
+                            ItemErrorKind::CorruptReply => {}
+                        }
+                        return Ok(ItemResult::Failed { kind: ie.kind, detail: ie.detail });
+                    }
+                    msg = from_frame(frame.payload)?;
+                    // A corrupted-but-decodable reply must die here, not
+                    // flow into a stage that would panic on it.
+                    if msg.seq != seq {
+                        return Err(StreamError::Stage(format!(
+                            "{stage_name}: reply carries seq {} (corrupt or misrouted)",
+                            msg.seq
+                        )));
+                    }
+                    let elems = msg.shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
+                    if elems.map(|n| n as usize) != Some(msg.cts.len()) {
+                        return Err(StreamError::Stage(format!(
+                            "{stage_name}: reply shape {:?} does not match {} ciphertexts",
+                            msg.shape,
+                            msg.cts.len()
+                        )));
+                    }
+                }
+                ClientStep::NonLinear(nl) => {
+                    // Stage failures here mean the reply decoded as a
+                    // frame but its ciphertexts decrypt to garbage (or
+                    // out-of-range values). The connection is fine —
+                    // fail the one item instead of tearing down.
+                    if i == last {
+                        return match nl.execute_final(msg, &self.pool) {
+                            Ok(out) => Ok(ItemResult::Output(out)),
+                            Err(e) => Ok(ItemResult::Failed {
+                                kind: ItemErrorKind::CorruptReply,
+                                detail: e.to_string(),
+                            }),
+                        };
+                    }
+                    msg = match nl.execute(msg, &self.pool) {
+                        Ok(m) => m,
+                        Err(e) => {
+                            return Ok(ItemResult::Failed {
+                                kind: ItemErrorKind::CorruptReply,
+                                detail: e.to_string(),
+                            })
+                        }
+                    };
+                }
+            }
+        }
+        Err(StreamError::Stage("pipeline must end with a final non-linear stage".into()))
+    }
+
+    /// Tears down the dead connection, reconnects with the configured
+    /// retry policy, and re-syncs the session via Resume. On success the
+    /// new (fault-wrapped) halves are installed.
+    fn reconnect_and_resume(&mut self) -> Result<(), StreamError> {
+        // Drop the dead socket *first*: a sequential server is still
+        // blocked reading it and will only accept the new connection
+        // after seeing its EOF.
+        self.tx = Box::new(DeadHalf);
+        self.rx = Box::new(DeadHalf);
+        revive_fault(&self.fault);
+
+        let resume = to_frame(&ResumeMsg {
+            version: PROTOCOL_VERSION,
+            session: self.session,
+            items_done: self.items_done,
+            topology: self.topology,
+        });
+
+        // Busy rejections of the resume are backed off and retried, like
+        // at connect: an at-capacity server has *not* forgotten the
+        // session — giving up would orphan its resumable state. Any
+        // *other* rejection fails over to the next provider address —
+        // a restarted process (same journal) or a warm replica may hold
+        // the session even when this one does not — and only after
+        // every address has refused does the resume give up.
+        let mut attempt = 0u32;
+        let mut rejected = 0usize;
+        loop {
+            attempt += 1;
+            let (mut tx, mut rx, idx, attempts) =
+                connect_sweep(&self.addrs, self.addr_idx, &self.tcp)
+                    .map_err(|e| e.at_stage("reconnect"))?;
+            self.transport.connect_attempts += attempts;
+            if idx != self.addr_idx {
+                self.transport.failovers += 1;
+                self.addr_idx = idx;
+            }
+
+            self.transport.bytes_sent += resume.len() as u64;
+            self.transport.frames_sent += 1;
+            tx.send_payload(resume.clone()).map_err(|e| e.at_stage("resume"))?;
+
+            let reply = rx
+                .recv()
+                .map_err(|e| e.at_stage("resume reply"))?
+                .ok_or_else(|| handshake_err("server closed without answering resume"))?;
+            self.transport.bytes_received += reply.payload.len() as u64;
+            self.transport.frames_received += 1;
+            match crate::messages::peek_tag(&reply.payload) {
+                Some(MsgTag::Accept) => {
+                    let accept: AcceptMsg = from_frame(reply.payload)?;
+                    if accept.version != PROTOCOL_VERSION
+                        || accept.pk_fingerprint != self.fingerprint
+                        || accept.session != self.session
+                    {
+                        return Err(handshake_err(
+                            "server resume-accept did not echo the session parameters",
+                        ));
+                    }
+                }
+                Some(MsgTag::Reject) => {
+                    let reject: RejectMsg = from_frame(reply.payload)?;
+                    if reject.code == RejectCode::Busy
+                        && attempt < self.tcp.retry.max_attempts.max(1)
+                    {
+                        self.transport.rejected_busy += 1;
+                        std::thread::sleep(busy_backoff(&self.tcp.retry, reject.retry_after_ms));
+                        continue;
+                    }
+                    rejected += 1;
+                    if rejected < self.addrs.len() {
+                        // This provider refused the session; fail over.
+                        self.addr_idx = (idx + 1) % self.addrs.len();
+                        self.transport.failovers += 1;
+                        continue;
+                    }
+                    return Err(handshake_err(format!(
+                        "server rejected resume: {}",
+                        reject.reason
+                    )));
+                }
+                _ => {
+                    return Err(handshake_err(
+                        "unexpected reply to resume (neither accept nor reject)",
+                    ));
+                }
+            }
+
+            let (tx, rx) = wrap_transport(tx, rx, &self.fault);
+            self.tx = tx;
+            self.rx = rx;
+            self.transport.reconnects += 1;
+            // Resumed connections run unpacked: the replacement server
+            // connection negotiated no packing (Resume has no proposal)
+            // and its fresh PermStore has no packed permutations.
+            self.packing = None;
+            return Ok(());
+        }
+    }
+
+    /// Fire-and-forget delivery confirmation after a completed item. A
+    /// lost ack is harmless: the next operation's failure triggers a
+    /// resume, which re-syncs the floor from `items_done`.
+    fn send_ack(&mut self) {
+        let payload = to_frame(&AckMsg { items_done: self.items_done });
+        let len = payload.len() as u64;
+        if self.tx.send_payload(payload).is_ok() {
+            self.transport.bytes_sent += len;
+            self.transport.frames_sent += 1;
+        }
+    }
+
+    fn stage_names(&self) -> Vec<String> {
+        let mut names = vec!["encrypt@data".to_string()];
+        let mut ni = 0;
+        for step in &self.steps {
+            match step {
+                ClientStep::Linear { round } => names.push(format!("linear-{round}@model")),
+                ClientStep::NonLinear(_) => {
+                    names.push(format!("nonlinear-{ni}@data"));
+                    ni += 1;
+                }
+            }
+        }
+        names
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn busy_backoff_honors_and_clamps_the_hint() {
+        let retry = pp_stream_runtime::RetryPolicy {
+            max_attempts: 3,
+            base_delay: Duration::from_millis(10),
+            max_delay: Duration::from_millis(80),
+            jitter: false,
+        };
+        assert_eq!(busy_backoff(&retry, 0), Duration::from_millis(10), "no hint -> base delay");
+        assert_eq!(busy_backoff(&retry, 25), Duration::from_millis(25), "hint in range");
+        assert_eq!(busy_backoff(&retry, 10_000), Duration::from_millis(80), "hint capped");
+    }
+}
