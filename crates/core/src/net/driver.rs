@@ -657,24 +657,26 @@ impl ModelProvider {
             .map(|_| Waker::new())
             .collect::<std::io::Result<Vec<Waker>>>()
             .map_err(|e| setup("event-loop waker", e))?;
-        let mut pollers = Vec::with_capacity(wakers.len());
-        for waker in &wakers {
+        let woken_by = |waker: &Waker| {
             let poller = Poller::new();
-            poller
-                .add(waker.raw_fd(), WAKER_TOKEN, false)
-                .map_err(|e| setup("register waker", e))?;
-            pollers.push(poller);
-        }
-        pollers[0]
+            poller.add(waker.raw_fd(), WAKER_TOKEN, false).map(|()| poller)
+        };
+        let poller = woken_by(&wakers[0]).map_err(|e| setup("register waker", e))?;
+        poller
             .add(listener.as_raw_fd(), LISTENER_TOKEN, false)
             .map_err(|e| setup("register listener", e))?;
+        let shard_pollers = wakers[1..]
+            .iter()
+            .map(woken_by)
+            .collect::<std::io::Result<Vec<Poller>>>()
+            .map_err(|e| setup("register waker", e))?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let provider = Arc::clone(self);
             let (stop, wakers) = (Arc::clone(&stop), wakers.clone());
             std::thread::spawn(move || {
-                provider.run_acceptor(listener, options, stop, wakers, pollers)
+                provider.run_acceptor(listener, options, stop, wakers, poller, shard_pollers)
             })
         };
         Ok(ServerHandle { stop, addr, thread, wakers })
@@ -687,19 +689,18 @@ impl ModelProvider {
     }
 
     /// The supervisor behind `serve_forever`: acceptor here, shards
-    /// and batcher on their own threads. `wakers[0]`/`pollers[0]`
-    /// are the acceptor's, the rest one per shard.
+    /// and batcher on their own threads. `wakers[0]` is the
+    /// acceptor's, `wakers[i + 1]` shard `i`'s.
     fn run_acceptor(
         self: Arc<Self>,
         listener: TcpListener,
         options: ServeOptions,
         stop: Arc<AtomicBool>,
         wakers: Vec<Waker>,
-        mut pollers: Vec<Poller>,
+        poller: Poller,
+        shard_pollers: Vec<Poller>,
     ) -> ServeReport {
-        let shard_pollers = pollers.split_off(1);
         let n_shards = shard_pollers.len();
-        let poller = pollers.remove(0);
 
         let active = Arc::new(AtomicUsize::new(0));
         let gather = options.gather_window;
