@@ -1,8 +1,9 @@
 //! **Kernel microbenchmark** — the fused Montgomery multi-exponentiation
-//! dot kernel versus the naive per-term `mul_scalar`/`add` fold, the
-//! encryption hot path (inline vs pooled `r^n`), pool refill (full-width
-//! pow_mod vs fixed-base comb), and CRT decrypt (sequential vs parallel
-//! halves).
+//! dot kernel versus the naive per-term `mul_scalar`/`add` fold, a
+//! layer's rows with one batched inversion versus one per row, the
+//! encryption hot path (full-width `r^n` vs inline fixed-base `h^a` vs
+//! pooled factor), pool refill (full-width pow_mod vs fixed-base comb),
+//! and CRT decrypt (sequential vs parallel halves).
 //!
 //! Writes machine-readable results to `BENCH_paillier.json` (override
 //! with `PP_BENCH_OUT`) and asserts along the way that the fused kernel
@@ -18,10 +19,12 @@
 //! when set) and dot lengths {9, 64, 256, 1024} with ~25% negative
 //! weights. Smoke mode (also `PP_BENCH_SMOKE=1`) runs 256-bit keys at
 //! lengths {9, 64} and fails if the fused kernel is not at least as fast
-//! as the naive fold — the CI regression gate for the kernel.
+//! as the naive fold, the fixed-base encryption not faster than the
+//! full-width one, or the batched-inversion rows slower than per-row
+//! — the CI regression gates for the kernels.
 
 use pp_paillier::packing::{PackedCiphertext, PackedMontInputs, PackingSpec};
-use pp_paillier::{Ciphertext, Keypair, PublicKey, RandomnessPool};
+use pp_paillier::{Ciphertext, Keypair, MontInputs, PublicKey, RandomnessPool};
 use pp_stream_runtime::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,14 +110,14 @@ fn bench_key_size(bits: usize, lens: &[usize], smoke: bool, out: &mut Vec<Sample
     let enc_reps = if bits >= 2048 { 3 } else { 8 };
     let enc_ops = if bits >= 2048 { 4 } else { 64 };
 
-    // Inline encryption: r^n computed on the request path.
+    // Full-width encryption: r^n computed on the request path.
     let ms: Vec<i64> = (0..enc_ops).map(|_| rng.gen_range(-1000i64..1000)).collect();
-    let per = time_min(enc_reps, enc_ops, || {
+    let full_per = time_min(enc_reps, enc_ops, || {
         for &m in &ms {
             std::hint::black_box(pk.encrypt_i64(m, &mut rng));
         }
     });
-    record(out, bits, "encrypt", 0, per);
+    record(out, bits, "encrypt", 0, full_per);
 
     // Pooled encryption: r^n precomputed off-path (untimed refill); the
     // timed section is what a streaming client pays per input element.
@@ -127,8 +130,34 @@ fn bench_key_size(bits: usize, lens: &[usize], smoke: bool, out: &mut Vec<Sample
             std::hint::black_box(pool.encrypt_i64(m, &mut pool_rng));
         }
     });
-    assert_eq!(pool.misses(), 0, "pooled bench must not fall back to inline r^n");
+    assert_eq!(pool.misses(), 0, "pooled bench must not walk the table inline");
     record(out, bits, "encrypt_pooled", 0, per);
+
+    // Fixed-base encryption: the comb walk `h^a` and the multiply, both
+    // on the request path — what the data provider pays per re-encrypted
+    // activation (and per pool miss). The table build is untimed.
+    let base = pp_paillier::shared_refill_cache().get(&pk);
+    let ct = base.encrypt_i64(&pk, -12_345, &mut rng);
+    assert_eq!(
+        kp.private().decrypt_i64(&ct),
+        -12_345,
+        "fixed-base encryption broke the round trip at {bits} bits"
+    );
+    let fixed_per = time_min(enc_reps, enc_ops, || {
+        for &m in &ms {
+            std::hint::black_box(base.encrypt_i64(&pk, m, &mut rng));
+        }
+    });
+    record(out, bits, "encrypt_fixed_base", 0, fixed_per);
+    let speedup = full_per.as_secs_f64() / fixed_per.as_secs_f64().max(1e-12);
+    println!("       encrypt: fixed-base is {speedup:.2}x full-width");
+    if smoke {
+        assert!(
+            fixed_per < full_per,
+            "encrypt regression: fixed-base ({fixed_per:?}) not faster than full-width \
+             ({full_per:?}) at {bits} bits"
+        );
+    }
 
     // Scalar multiply: the unit the naive fold is built from.
     let ct = pk.encrypt_i64(7, &mut rng);
@@ -173,6 +202,57 @@ fn bench_key_size(bits: usize, lens: &[usize], smoke: bool, out: &mut Vec<Sample
                  ({naive_per:?}) at {bits} bits, len {len}"
             );
         }
+    }
+}
+
+/// One layer's dot products with a single batched inversion
+/// ([`MontInputs::dot_rows`]) versus one `modinv` per row: 64 rows of 9
+/// taps over an 8×8 input with ~25% negative weights, the shape of the
+/// benchmark's `conv_single` first stage. Bit-identity is checked before
+/// timing; the smoke gate is batched ≤ per-row (the batch trades each
+/// inversion but one for three multiplies, on any host).
+fn bench_dot_rows(bits: usize, smoke: bool, out: &mut Vec<Sample>) {
+    let mut rng = StdRng::seed_from_u64(bits as u64 ^ 0xC0DE);
+    let kp = Keypair::generate(bits, &mut rng);
+    let pk = kp.public();
+    let (n_rows, taps) = (64usize, 9usize);
+    let cts: Vec<Ciphertext> =
+        (0..n_rows).map(|_| pk.encrypt_i64(rng.gen_range(-500i64..500), &mut rng)).collect();
+    let rows: Vec<Vec<(usize, i64)>> = (0..n_rows)
+        .map(|j| {
+            let ws = weights(&mut rng, taps);
+            (0..taps).map(|t| ((j + t * 7) % n_rows, ws[t])).collect()
+        })
+        .collect();
+    let batched = |inputs: &MontInputs<'_>| inputs.dot_rows(rows.iter().map(|r| (r.as_slice(), 3)));
+    let per_row = |inputs: &MontInputs<'_>| -> Vec<Ciphertext> {
+        rows.iter().map(|r| inputs.dot_i64(r, 3)).collect()
+    };
+
+    let inputs = MontInputs::new(&pk, &cts);
+    for (j, (b, p)) in batched(&inputs).iter().zip(&per_row(&inputs)).enumerate() {
+        assert_eq!(b.raw(), p.raw(), "batched inversion diverged on row {j} at {bits} bits");
+    }
+
+    // A fresh MontInputs per pass: both sides pay the layer's
+    // Montgomery conversions, as one layer evaluation does.
+    let reps = if bits >= 2048 { 2 } else { 6 };
+    let per_row_t = time_min(reps, n_rows, || {
+        std::hint::black_box(per_row(&MontInputs::new(&pk, &cts)));
+    });
+    record(out, bits, "dot_rows_per_row", taps, per_row_t);
+    let batched_t = time_min(reps, n_rows, || {
+        std::hint::black_box(batched(&MontInputs::new(&pk, &cts)));
+    });
+    record(out, bits, "dot_rows_batch_inv", taps, batched_t);
+    let speedup = per_row_t.as_secs_f64() / batched_t.as_secs_f64().max(1e-12);
+    println!("       dot rows: one batched inversion is {speedup:.2}x one per row");
+    if smoke {
+        assert!(
+            batched_t <= per_row_t,
+            "dot-rows regression: batched inversion ({batched_t:?}) slower than per-row \
+             ({per_row_t:?}) at {bits} bits"
+        );
     }
 }
 
@@ -422,19 +502,23 @@ fn main() {
     for &bits in &key_sizes {
         println!("\nkey size {bits} bits:");
         bench_key_size(bits, lens, smoke, &mut samples);
+        bench_dot_rows(bits, smoke, &mut samples);
         bench_refill_decrypt(bits, smoke, &mut samples);
         bench_packed_dot(bits, slot_bits_for(bits), smoke, &mut samples);
     }
     if smoke && !key_sizes.contains(&2048) {
-        // The refill and CRT gates only mean something at production
-        // key size; run them once at 2048 bits even in smoke mode.
-        println!("\nkey size 2048 bits (refill/decrypt gates):");
+        // The inversion, refill and CRT gates only mean something at
+        // production key size; run them once at 2048 bits even in smoke
+        // mode.
+        println!("\nkey size 2048 bits (dot-rows/refill/decrypt gates):");
+        bench_dot_rows(2048, true, &mut samples);
         bench_refill_decrypt(2048, true, &mut samples);
     }
     write_json(&out_path, if smoke { "smoke" } else { "full" }, &samples);
     if smoke {
         println!(
-            "smoke gate passed: fused ≤ naive, packed per-item ≤ unpacked, \
+            "smoke gate passed: fused ≤ naive, fixed-base encrypt < full-width, \
+             batched-inversion rows ≤ per-row, packed per-item ≤ unpacked, \
              fixed-base refill ≤ pow_mod, parallel CRT ≤ sequential"
         );
     }

@@ -37,11 +37,11 @@ impl LinearAlgebra for EncCtx<'_> {
     }
 
     /// A layer's worth of fused dot products sharing one set of
-    /// Montgomery conversions: each input ciphertext enters the residue
-    /// domain once, no matter how many output neurons read it.
+    /// Montgomery conversions — each input ciphertext enters the residue
+    /// domain once, no matter how many output neurons read it — and one
+    /// `modinv` between all the rows with a negative weight.
     fn dot_rows(&self, elems: &[Ciphertext], rows: &[DotRow<i64>]) -> Vec<Ciphertext> {
-        let inputs = MontInputs::new(self.pk, elems);
-        rows.iter().map(|r| inputs.dot_i64(&r.terms, r.bias)).collect()
+        MontInputs::new(self.pk, elems).dot_rows(rows.iter().map(|r| (r.terms.as_slice(), r.bias)))
     }
 }
 

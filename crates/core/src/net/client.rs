@@ -4,7 +4,7 @@
 use super::config::NetConfig;
 use super::conn::{pk_fingerprint, topology_digest};
 use super::report::TransportReport;
-#[cfg(doc)]
+#[cfg(any(doc, test))]
 use super::ModelProvider;
 use crate::encapsulate::{encapsulate_with, StageRole};
 use crate::messages::{
@@ -12,7 +12,7 @@ use crate::messages::{
     RejectCode, RejectMsg, ResumeMsg, PROTOCOL_VERSION,
 };
 use crate::packed;
-use crate::protocol::{EncryptStage, NonLinearStage};
+use crate::protocol::{mix, EncryptStage, NonLinearStage};
 use crate::session::RunReport;
 use crate::CoreError;
 use bytes::Bytes;
@@ -37,6 +37,16 @@ use std::time::{Duration, Instant};
 
 fn handshake_err(context: impl Into<String>) -> StreamError {
     StreamError::transport(TransportErrorKind::Handshake, context)
+}
+
+/// Seed of the input-pool refill for the stream call whose first item
+/// is `first_item` (the session's `items_done` when the call starts).
+/// It must differ between calls: under one seed the k-th input element
+/// of every call would be blinded by the same factor, and the quotient
+/// of two such ciphertexts is `1 + (x_k − x'_k)·n` — the plaintext
+/// difference, readable by the model provider.
+fn refill_seed(encrypt_seed: u64, first_item: u64) -> u64 {
+    mix(encrypt_seed ^ 0x5EED ^ mix(first_item))
 }
 
 /// Client-side handle on the shared fault state; `()` when the
@@ -213,7 +223,7 @@ pub struct NetworkedSession {
     scaled: ScaledModel,
     steps: Vec<ClientStep>,
     encrypt: EncryptStage,
-    /// Precomputed `r^n` blinding factors, refilled per stream off the
+    /// Precomputed blinding factors, refilled per stream off the
     /// request path (shared with `encrypt`).
     rand_pool: Arc<Mutex<RandomnessPool>>,
     pool: WorkerPool,
@@ -589,12 +599,17 @@ impl NetworkedSession {
         strict: bool,
     ) -> Result<(Vec<ItemOutcome>, RunReport), CoreError> {
         let t_run = Instant::now();
-        // Precompute the stream's worth of `r^n` blinding factors in
+        // Top the pool up to the stream's worth of blinding factors in
         // parallel before the first request, so per-item encryption is a
-        // cheap multiply on the request path.
+        // cheap multiply on the request path. A packed batch spends one
+        // factor per position, not per member; what it leaves over
+        // serves the next call instead of piling up behind it.
         {
             let need = inputs.len() * self.scaled.input_shape().len();
-            self.rand_pool.lock().refill_parallel(need, &self.pool, self.encrypt.seed ^ 0x5EED);
+            let seed = refill_seed(self.encrypt.seed, self.items_done);
+            let mut rand_pool = self.rand_pool.lock();
+            let missing = need.saturating_sub(rand_pool.available());
+            rand_pool.refill_parallel(missing, &self.pool, seed);
         }
         let mut latencies = Vec::with_capacity(inputs.len());
         let mut outcomes = Vec::with_capacity(inputs.len());
@@ -1169,6 +1184,59 @@ impl NetworkedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn consecutive_stream_calls_refill_from_disjoint_factors() {
+        // Two one-item calls start at items_done = 0 and 1. Their pool
+        // refills must share no factor, or the model provider could
+        // divide the two requests' ciphertexts element by element.
+        let encrypt_seed = 42 ^ 0x0E2C;
+        let (first, second) = (refill_seed(encrypt_seed, 0), refill_seed(encrypt_seed, 1));
+        assert_ne!(first, second);
+        assert_eq!(first, refill_seed(encrypt_seed, 0));
+
+        let kp = Keypair::generate(128, &mut StdRng::seed_from_u64(5));
+        let workers = WorkerPool::new(2);
+        let factors = |seed| {
+            let mut pool = RandomnessPool::new(kp.public());
+            pool.refill_parallel(12, &workers, seed);
+            std::iter::from_fn(|| pool.take_factor()).collect::<Vec<_>>()
+        };
+        let (a, b) = (factors(first), factors(second));
+        assert_eq!(a.len(), 12);
+        assert!(a.iter().all(|f| !b.contains(f)), "a blinding factor repeats across calls");
+    }
+
+    #[test]
+    fn packed_stream_calls_do_not_grow_the_pool() {
+        // A call refills for one factor per input element of every
+        // member, a packed batch spends one per position: the surplus
+        // must carry over into the next call's refill, not accumulate.
+        let model =
+            pp_nn::zoo::mlp("m", &[4, 6, 3], &mut StdRng::seed_from_u64(31)).expect("model");
+        let scaled = ScaledModel::from_model(&model, 100);
+        let mut config = NetConfig::small_test(128);
+        config.pack_slot_bits = 32; // 128-bit key → 3 slots per ciphertext
+        let provider = Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let handle = provider
+            .serve_forever(listener, crate::ServeOptions::default())
+            .expect("spawn server");
+
+        let mut session =
+            NetworkedSession::connect(handle.addr(), scaled, &config).expect("connect");
+        let inputs: Vec<Tensor<f64>> =
+            (0..3).map(|i| Tensor::from_flat(vec![0.1 * i as f64, -0.4, 0.7, 0.2])).collect();
+        for _ in 0..3 {
+            let (_, report) = session.infer_stream(&inputs).expect("packed call");
+            assert_eq!(report.transport.expect("transport").packed_fallbacks, 0);
+            assert_eq!(report.pool_misses, 0);
+            // 3 members × 4 elements refilled, 4 positions spent.
+            assert_eq!(session.rand_pool.lock().available(), 8);
+        }
+        assert!(session.shutdown().clean_shutdown);
+        handle.shutdown();
+    }
 
     #[test]
     fn busy_backoff_honors_and_clamps_the_hint() {

@@ -32,13 +32,14 @@ use crate::protocol::{mix, shape_to_wire, LinearStage, NonLinearStage};
 use pp_nn::scaling::ScaledOp;
 use pp_obfuscate::Permutation;
 use pp_paillier::packing::{PackedCiphertext, PackedMontInputs, PackingSpec};
-use pp_paillier::{Ciphertext, PaillierError, PublicKey, RandomnessPool};
+use pp_paillier::{shared_refill_cache, Ciphertext, PaillierError, PublicKey, RandomnessPool};
 use pp_stream_runtime::pool::WorkerPool;
 use pp_stream_runtime::StreamError;
 use pp_tensor::ops::{affine, conv2d, fully_connected, sum_pool2d};
 use pp_tensor::{LinearAlgebra, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Packed rounds share the per-connection [`crate::protocol::PermStore`]
 /// with unpacked requests. A batch's permutations are stored under its
@@ -98,11 +99,10 @@ impl LinearAlgebra for PackedEncCtx<'_> {
         elems: &[PackedCiphertext],
         rows: &[pp_tensor::DotRow<i64>],
     ) -> Vec<PackedCiphertext> {
-        let inputs = PackedMontInputs::new(self.pk, elems)
-            .expect("packed dot inputs share one layout");
-        rows.iter()
-            .map(|r| inputs.dot_i64(&r.terms, r.bias).expect("packed dot within op budget"))
-            .collect()
+        PackedMontInputs::new(self.pk, elems)
+            .expect("packed dot inputs share one layout")
+            .dot_rows(rows.iter().map(|r| (r.terms.as_slice(), r.bias)))
+            .expect("packed dots within op budget")
     }
 }
 
@@ -354,6 +354,10 @@ fn run_packed_op(
 /// stage's element-wise non-linear ops to the slot values (the identical
 /// `i128` math as [`NonLinearStage::apply_ops`] on the unpacked path),
 /// and re-encrypt at weight 1 for the next linear stage.
+///
+/// Positions re-encrypt in parallel, each on an rng seeded from
+/// `(nl.seed, first seq | PACKED_PERM_BIT, position)`: a position's
+/// bytes are a pure function of its address, as on the unpacked leg.
 pub(crate) fn repack_nonlinear(
     nl: &NonLinearStage,
     msg: PackedTensorMsg,
@@ -366,22 +370,33 @@ pub(crate) fn repack_nonlinear(
     let pk = nl.keypair.public();
     let sk = nl.keypair.private();
     let used = msg.seqs.len();
-    let packed_key = msg.seqs[0] | PACKED_PERM_BIT;
-    let mut rng = StdRng::seed_from_u64(mix(nl.seed ^ mix(packed_key).rotate_left(17)));
-    let mut cts = Vec::with_capacity(msg.cts.len());
+    let mut positions: Vec<Vec<i64>> = Vec::with_capacity(msg.cts.len());
     for b in &msg.cts {
         let packed =
             PackedCiphertext::from_parts(&pk, Ciphertext::from_bytes(b), spec, used, msg.weight)?;
         let mut vals: Vec<i128> =
             packed.decrypt_parallel(&sk, workers)?.iter().map(|&v| v as i128).collect();
         nl.apply_ops(&mut vals);
-        let out: Vec<i64> = vals
-            .iter()
-            .map(|&v| i64::try_from(v).map_err(|_| PaillierError::MessageOutOfRange))
-            .collect::<Result<_, _>>()?;
-        let repacked = PackedCiphertext::encrypt(&pk, spec, &out, &mut rng)?;
-        cts.push(repacked.ct.to_bytes());
+        positions.push(
+            vals.iter()
+                .map(|&v| i64::try_from(v).map_err(|_| PaillierError::MessageOutOfRange))
+                .collect::<Result<_, _>>()?,
+        );
     }
+    let base = shared_refill_cache().get(&pk);
+    let packed_key = msg.seqs[0] | PACKED_PERM_BIT;
+    let seed = mix(nl.seed ^ mix(packed_key).rotate_left(17));
+    let positions = Arc::new(positions);
+    let cts = workers
+        .map_ranges(positions.len(), move |r| {
+            r.map(|i| {
+                let mut rng = StdRng::seed_from_u64(mix(seed ^ i as u64));
+                base.encrypt_packed(&pk, spec, &positions[i], &mut rng).map(|c| c.ct.to_bytes())
+            })
+            .collect()
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
     Ok(PackedTensorMsg {
         seqs: msg.seqs,
         shape: msg.shape,
@@ -454,7 +469,6 @@ mod tests {
     use pp_tensor::ops as plain_ops;
     use pp_tensor::{PlainI64, Shape};
     use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
 
     fn keypair(seed: u64) -> Keypair {
         let mut rng = StdRng::seed_from_u64(seed);

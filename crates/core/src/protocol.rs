@@ -10,6 +10,10 @@
 //!   non-linear operations on permuted values (2.2 / 3.6), re-encryption
 //!   (2.3) — or, in the final round, the cleartext inference result (3.7).
 //!
+//! Every ciphertext the data provider emits is blinded by a fixed-base
+//! factor `h^a` (DESIGN.md §7): inputs from the pool, activations
+//! inline. Neither stage pays a full-width `r^n`.
+//!
 //! Tensor partitioning (Sec. IV-D) is implemented here as well: each
 //! worker-thread task is *sent* (serialized + deserialized, byte-counted)
 //! either the whole input tensor (no partitioning: one task per output
@@ -24,7 +28,7 @@ use parking_lot::Mutex;
 use pp_nn::activation::sigmoid_scalar;
 use pp_nn::scaling::{div_round, ScaledOp};
 use pp_obfuscate::Permutation;
-use pp_paillier::{Ciphertext, Keypair, PublicKey, RandomnessPool};
+use pp_paillier::{shared_refill_cache, Ciphertext, Keypair, PublicKey, RandomnessPool};
 use pp_stream_runtime::{Stage, StageContext, StreamError, WorkerPool};
 use pp_tensor::ops::{
     conv2d_range, conv_input_indices_for_range, fully_connected_range,
@@ -76,15 +80,16 @@ fn cts_to_bytes(cts: &[Ciphertext]) -> Vec<Vec<u8>> {
 /// Data provider: scales are already applied by the session; this stage
 /// encrypts every element under the data provider's public key.
 ///
-/// When a [`RandomnessPool`] is attached, the expensive `r^n` blinding
-/// factors are popped from the pool (precomputed off the request path)
-/// and each element costs only `g^m` and one modular multiplication; a
-/// drained pool falls back to inline exponentiation, counted by the
-/// pool's miss statistic.
+/// When a [`RandomnessPool`] is attached, the blinding factors are
+/// popped from the pool (precomputed off the request path) and each
+/// element costs only `g^m` and one modular multiplication; an element
+/// the pool has no factor for walks the key's fixed-base table inline
+/// ([`pp_paillier::RefillBase::encrypt_i64`]), counted by the pool's miss
+/// statistic.
 pub struct EncryptStage {
     pub pk: PublicKey,
     pub seed: u64,
-    /// Precomputed `r^n` factors; `None` encrypts inline.
+    /// Precomputed `h^a` factors; `None` encrypts inline.
     pub rand_pool: Option<Arc<Mutex<RandomnessPool>>>,
 }
 
@@ -96,15 +101,16 @@ impl EncryptStage {
         let seed = mix(self.seed ^ msg.seq.wrapping_mul(0x517c_c1b7));
         let n = values.len();
         // Pop the whole batch under one short lock; workers then run
-        // lock-free. Missing factors (drained pool) fall back to inline
-        // exponentiation in the worker, and the pool counts each miss.
-        let factors: Arc<Vec<Option<pp_bigint::BigUint>>> = Arc::new(match &self.rand_pool {
+        // lock-free. Missing factors (drained pool) are walked inline in
+        // the worker, and the pool counts each miss.
+        let (factors, base) = match &self.rand_pool {
             Some(rp) => {
                 let mut rp = rp.lock();
-                (0..n).map(|_| rp.take_factor()).collect()
+                ((0..n).map(|_| rp.take_factor()).collect(), Arc::clone(rp.base()))
             }
-            None => vec![None; n],
-        });
+            None => (vec![None; n], shared_refill_cache().get(&pk)),
+        };
+        let factors: Arc<Vec<Option<pp_bigint::BigUint>>> = Arc::new(factors);
         let values2 = Arc::clone(&values);
         let cts: Vec<Vec<u8>> = pool.map_ranges(n, move |r| {
             let mut rng = StdRng::seed_from_u64(mix(seed ^ r.start as u64));
@@ -112,7 +118,7 @@ impl EncryptStage {
                 let v = i64::try_from(values2[i]).expect("scaled input fits i64");
                 match &factors[i] {
                     Some(rn) => pk.encrypt_i64_with_factor(v, rn).to_bytes(),
-                    None => pk.encrypt_i64(v, &mut rng).to_bytes(),
+                    None => base.encrypt_i64(&pk, v, &mut rng).to_bytes(),
                 }
             })
             .collect()
@@ -466,12 +472,16 @@ impl NonLinearStage {
                 ))
             })?;
         let pk = self.keypair.public();
+        // Blinded by `h^a` from the key's comb table, like the pooled
+        // inputs; the rng is a function of (stage seed, seq, chunk
+        // start), so a replay of this message reproduces its bytes.
+        let base = shared_refill_cache().get(&pk);
         let seed = mix(self.seed ^ mix(msg.seq).rotate_left(17));
         let scaled = Arc::new(scaled);
         let n = scaled.len();
         let cts = pool.map_ranges(n, move |r| {
             let mut rng = StdRng::seed_from_u64(mix(seed ^ r.start as u64));
-            r.map(|i| pk.encrypt_i64(scaled[i], &mut rng).to_bytes()).collect::<Vec<_>>()
+            r.map(|i| base.encrypt_i64(&pk, scaled[i], &mut rng).to_bytes()).collect::<Vec<_>>()
         });
         Ok(EncTensorMsg { seq: msg.seq, shape: msg.shape, obfuscated: msg.obfuscated, cts })
     }
@@ -807,6 +817,43 @@ mod tests {
         };
         let msg3 = last.execute(msg2, &pool).unwrap();
         assert!(!msg3.obfuscated, "last round sends without obfuscation (Step 3.4)");
+    }
+
+    #[test]
+    fn reencryption_bytes_are_a_function_of_seed_and_seq() {
+        // A kill-and-resume replay re-executes the stage on the same
+        // message and must reproduce its bytes; the next request must not.
+        let (kp, pool) = setup(18);
+        let nl = NonLinearStage {
+            keypair: kp.clone(),
+            stage: MergedStage {
+                role: StageRole::NonLinear,
+                ops: vec![ScaledOp::ReLU { rescale: 1 }],
+                input_shape: Shape::vector(5),
+                output_shape: Shape::vector(5),
+            },
+            factor: 10,
+            is_last: false,
+            seed: 3,
+        };
+        let mut rng = StdRng::seed_from_u64(19);
+        let cts: Vec<Vec<u8>> = [4i64, -4, 0, 9, 1]
+            .iter()
+            .map(|&m| kp.public().encrypt_i64(m, &mut rng).to_bytes())
+            .collect();
+        let msg = |seq| EncTensorMsg { seq, shape: vec![5], obfuscated: true, cts: cts.clone() };
+
+        let first = nl.execute(msg(7), &pool).unwrap();
+        let replay = nl.execute(msg(7), &pool).unwrap();
+        assert_eq!(first.cts, replay.cts);
+        let next = nl.execute(msg(8), &pool).unwrap();
+        for (a, b) in first.cts.iter().zip(&next.cts) {
+            assert_ne!(a, b, "the next request must draw fresh blinding");
+        }
+        let sk = kp.private();
+        let plain: Vec<i64> =
+            first.cts.iter().map(|b| sk.decrypt_i64(&Ciphertext::from_bytes(b))).collect();
+        assert_eq!(plain, vec![4, 0, 0, 9, 1]);
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! slots.
 
 use crate::ciphertext::Ciphertext;
+use crate::dot::{invert_all_mont, signed_products};
 use crate::{PaillierError, PrivateKey, PublicKey};
 use pp_bigint::{BigUint, Limb};
 use pp_stream_runtime::pool::WorkerPool;
@@ -517,6 +518,41 @@ impl<'a> PackedMontInputs<'a> {
         bias: i64,
         target: u64,
     ) -> Result<PackedCiphertext, PaillierError> {
+        let mut row = self.products(terms, bias, target)?;
+        // B inverted once: A · B⁻¹.
+        if let Some(b) = row.b.as_mut() {
+            invert_all_mont(self.pk, &mut [b]);
+        }
+        self.finish(row)
+    }
+
+    /// A layer's dot products, one `(terms, bias)` per output at its
+    /// natural weight: each row as in [`Self::dot_i64`], but the rows'
+    /// negative-weight products are inverted together with a single
+    /// `modinv` (see [`crate::MontInputs::dot_rows`]). Every output is
+    /// bit-identical to `dot_i64` on its row.
+    pub fn dot_rows<'r>(
+        &self,
+        rows: impl IntoIterator<Item = (&'r [(usize, i64)], i64)>,
+    ) -> Result<Vec<PackedCiphertext>, PaillierError> {
+        let mut rows = rows
+            .into_iter()
+            .map(|(terms, bias)| self.products(terms, bias, self.natural_weight(terms)?))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut negatives: Vec<&mut Vec<Limb>> =
+            rows.iter_mut().filter_map(|row| row.b.as_mut()).collect();
+        invert_all_mont(self.pk, &mut negatives);
+        rows.into_iter().map(|row| self.finish(row)).collect()
+    }
+
+    /// Validates one row against the layout and evaluates its two
+    /// multi-exponentiations.
+    fn products(
+        &self,
+        terms: &[(usize, i64)],
+        bias: i64,
+        target: u64,
+    ) -> Result<RowProducts, PaillierError> {
         let natural = self.natural_weight(terms)?;
         if target < natural {
             return Err(PaillierError::InvalidPacking(format!(
@@ -533,40 +569,10 @@ impl<'a> PackedMontInputs<'a> {
         if bias <= -bound || bias >= bound {
             return Err(PaillierError::MessageOutOfRange);
         }
-        let ctx = self.pk.ctx();
-
-        let mut pos_bases: Vec<&[Limb]> = Vec::new();
-        let mut pos_exps: Vec<u64> = Vec::new();
-        let mut neg_bases: Vec<&[Limb]> = Vec::new();
-        let mut neg_exps: Vec<u64> = Vec::new();
         // S = Σ wᵢ·weight(ctᵢ): the signed offset mass the raw product
-        // accumulates, to be re-centered to `target` below.
-        let mut offset_mass: i128 = 0;
-        for &(i, w) in terms {
-            offset_mass += w as i128 * self.cts[i].weight as i128;
-            if w > 0 {
-                pos_bases.push(self.mont(i));
-                pos_exps.push(w as u64);
-            } else if w < 0 {
-                neg_bases.push(self.mont(i));
-                neg_exps.push(w.unsigned_abs());
-            }
-        }
-
-        // A = Π cᵢ^{wᵢ⁺} in Montgomery form (1·R when no positive terms).
-        let mut acc = ctx.pow_mod_multi_mont(&pos_bases, &pos_exps);
-        let mut scratch = ctx.scratch();
-
-        // B = Π cᵢ^{|wᵢ⁻|}, inverted once: acc ← A · B⁻¹.
-        if !neg_bases.is_empty() {
-            let b = ctx.from_mont(&ctx.pow_mod_multi_mont(&neg_bases, &neg_exps));
-            let b_inv = b
-                .modinv(self.pk.n_squared())
-                .expect("ciphertexts are units mod n²");
-            let b_inv_m = ctx.to_mont(&b_inv);
-            ctx.mont_mul_inplace(&mut acc, &b_inv_m, &mut scratch);
-        }
-
+        // accumulates, to be re-centered to `target`.
+        let offset_mass: i128 =
+            terms.iter().map(|&(i, w)| w as i128 * self.cts[i].weight as i128).sum();
         // δ = bias + (target − S)·2B per active slot: one g-power fixes
         // both the bias and the offset re-centering.
         let delta = (target as i128)
@@ -574,25 +580,47 @@ impl<'a> PackedMontInputs<'a> {
             .and_then(|d| d.checked_mul(self.spec.offset() as i128))
             .and_then(|d| d.checked_add(bias as i128))
             .ok_or(PaillierError::InvalidPacking("offset correction overflow".into()))?;
-        if delta != 0 {
+        let (a, b) = signed_products(self.pk.ctx(), terms, |i| self.mont(i));
+        Ok(RowProducts { a, b, delta, weight: target })
+    }
+
+    /// `A · B⁻¹ · g^{δ·ones}` out of the Montgomery domain; `row.b` has
+    /// been inverted.
+    fn finish(&self, row: RowProducts) -> Result<PackedCiphertext, PaillierError> {
+        let ctx = self.pk.ctx();
+        let mut acc = row.a;
+        let mut scratch = ctx.scratch();
+        if let Some(b_inv) = &row.b {
+            ctx.mont_mul_inplace(&mut acc, b_inv, &mut scratch);
+        }
+        if row.delta != 0 {
             let residue = signed_broadcast_residue(
                 self.pk,
                 &self.spec,
                 self.used,
-                delta.unsigned_abs(),
-                delta < 0,
+                row.delta.unsigned_abs(),
+                row.delta < 0,
             )?;
             let gd_m = ctx.to_mont(&self.pk.g_pow_encoded(&residue));
             ctx.mont_mul_inplace(&mut acc, &gd_m, &mut scratch);
         }
-
         Ok(PackedCiphertext {
             ct: Ciphertext::new(ctx.from_mont(&acc)),
             spec: self.spec,
             used: self.used,
-            weight: target,
+            weight: row.weight,
         })
     }
+}
+
+/// One packed dot row between its multi-exponentiations and its
+/// inversion: `A`, `B` (Montgomery form), the per-slot correction `δ`
+/// and the weight the result will carry.
+struct RowProducts {
+    a: Vec<Limb>,
+    b: Option<Vec<Limb>>,
+    delta: i128,
+    weight: u64,
 }
 
 #[cfg(test)]
@@ -851,6 +879,39 @@ mod tests {
                 assert_eq!(g, want, "slot {j}, terms {terms:?}");
             }
         }
+    }
+
+    #[test]
+    fn packed_dot_rows_matches_per_row_dot_with_one_inversion() {
+        use crate::dot::MODINVS;
+        let (kp, spec, mut rng) = setup(1 << 14);
+        let pk = kp.public();
+        let packs: Vec<PackedCiphertext> = [[120i64, -45, 300], [-7, 0, 99], [1000, 1000, -1000]]
+            .iter()
+            .map(|row| PackedCiphertext::encrypt(&pk, spec, row, &mut rng).unwrap())
+            .collect();
+        let inputs = PackedMontInputs::new(&pk, &packs).unwrap();
+        let rows: Vec<(Vec<(usize, i64)>, i64)> = vec![
+            (vec![(0, 3), (1, -2), (2, 7)], 17),
+            (vec![], 4),
+            (vec![(0, -1), (1, -4), (2, -2)], -9),
+            (vec![(0, 0), (2, 5)], 0),
+            (vec![(1, -8)], 1),
+        ];
+        let before = MODINVS.with(|c| c.get());
+        let batched = inputs.dot_rows(rows.iter().map(|(t, b)| (t.as_slice(), *b))).unwrap();
+        assert_eq!(MODINVS.with(|c| c.get()) - before, 1, "three negative rows, one inversion");
+        for (j, ((terms, bias), got)) in rows.iter().zip(&batched).enumerate() {
+            let want = inputs.dot_i64(terms, *bias).unwrap();
+            assert_eq!(got.ct.raw(), want.ct.raw(), "row {j}");
+            assert_eq!(got.weight(), want.weight(), "row {j}");
+        }
+        // One row over budget fails the layer, typed, as per-row does.
+        let heavy = [(vec![(0usize, 1i64)], 0i64), (vec![(0, 1 << 14)], 0)];
+        assert!(matches!(
+            inputs.dot_rows(heavy.iter().map(|(t, b)| (t.as_slice(), *b))),
+            Err(PaillierError::BudgetExceeded { .. })
+        ));
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Pre-computed encryption randomness.
+//! Encryption randomness without a full-width exponentiation.
 //!
-//! Paillier encryption cost is dominated by `r^n mod n²`, which is
-//! independent of the message. A [`RandomnessPool`] computes a batch of
-//! `r^n` factors ahead of time (e.g. while the pipeline is idle), turning
-//! each online encryption into a single modular multiplication. This is a
-//! standard PHE deployment optimization and one of the "optional
-//! extensions" we implement beyond the paper's prototype.
+//! Paillier encryption cost is dominated by the blinding factor
+//! `r^n mod n²`, which is independent of the message. A [`RefillBase`]
+//! holds a per-key comb table over `h = x^n`, so a valid factor `h^a` is
+//! a short fixed-base walk; [`RefillBase::encrypt_i64`] and
+//! [`RefillBase::encrypt_packed`] are the data provider's one online
+//! encryption path. A [`RandomnessPool`] runs the same walk ahead of
+//! time (e.g. while the pipeline is idle), turning each online
+//! encryption into a single modular multiplication.
 //!
-//! A drained pool never degrades *silently*: every fallback to inline
-//! exponentiation bumps [`RandomnessPool::misses`], which the pipeline
-//! surfaces through its run report so an undersized pool shows up in
-//! telemetry instead of as a mystery latency cliff.
+//! A drained pool never degrades *silently*: every encryption that had
+//! to walk the table inline bumps [`RandomnessPool::misses`], which the
+//! pipeline surfaces through its run report so an undersized pool shows
+//! up in telemetry.
 
 use crate::packing::{pack_values, PackedCiphertext, PackingSpec};
 use crate::{Ciphertext, PaillierError, PublicKey};
@@ -97,6 +99,26 @@ impl RefillBase {
     pub fn sample_factor<R: Rng + ?Sized>(&self, pk: &PublicKey, rng: &mut R) -> BigUint {
         let a = sample_exponent(rng, self.exp_bits);
         self.factor_for(pk, &a)
+    }
+
+    /// Encrypts a signed message under a fresh factor `h^a`, `a` drawn
+    /// from `rng` — the online encryption: one comb walk and one
+    /// multiply, no full-width exponentiation. The bytes are a pure
+    /// function of `(key, m, rng state)`.
+    pub fn encrypt_i64<R: Rng + ?Sized>(&self, pk: &PublicKey, m: i64, rng: &mut R) -> Ciphertext {
+        pk.encrypt_i64_with_factor(m, &self.sample_factor(pk, rng))
+    }
+
+    /// Packs and encrypts `values` under a fresh factor `h^a` — the
+    /// packed twin of [`RefillBase::encrypt_i64`].
+    pub fn encrypt_packed<R: Rng + ?Sized>(
+        &self,
+        pk: &PublicKey,
+        spec: PackingSpec,
+        values: &[i64],
+        rng: &mut R,
+    ) -> Result<PackedCiphertext, PaillierError> {
+        PackedCiphertext::encrypt_with_factor(pk, spec, values, &self.sample_factor(pk, rng))
     }
 }
 
@@ -231,9 +253,7 @@ impl RandomnessPool {
 
     /// Precomputes `count` factors the pre-fixed-base way: a fresh
     /// `r ∈ Z*_n` and a full-width `pow_mod` per factor. Kept as the
-    /// reference implementation the benches race against and the
-    /// conservative fallback for callers that refuse the
-    /// short-exponent assumption.
+    /// reference implementation the benches race against.
     pub fn refill_pow_mod<R: Rng + ?Sized>(&mut self, count: usize, rng: &mut R) {
         for _ in 0..count {
             let r = random_coprime(rng, self.pk.n());
@@ -264,7 +284,7 @@ impl RandomnessPool {
     }
 
     /// Number of times an encryption found the pool empty and had to
-    /// pay an inline `r^n` exponentiation on the request path.
+    /// walk the fixed-base table inline on the request path.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -278,17 +298,24 @@ impl RandomnessPool {
         f
     }
 
-    /// Encrypts a signed message using a pooled factor; falls back to a
-    /// fresh exponentiation when the pool is empty, counting the miss.
-    pub fn encrypt_i64<R: Rng + ?Sized>(&mut self, m: i64, rng: &mut R) -> Ciphertext {
+    /// A pooled factor, or — pool drained, miss counted — one walked
+    /// inline from the same table with an exponent drawn from `rng`.
+    fn factor<R: Rng + ?Sized>(&mut self, rng: &mut R) -> BigUint {
         match self.take_factor() {
-            Some(rn) => self.pk.encrypt_i64_with_factor(m, &rn),
-            None => self.pk.encrypt_i64(m, rng),
+            Some(rn) => rn,
+            None => self.base().clone().sample_factor(&self.pk, rng),
         }
     }
 
-    /// Packs and encrypts a batch of values using a pooled factor,
-    /// falling back (and counting the miss) when the pool is drained.
+    /// Encrypts a signed message using a pooled factor; a drained pool
+    /// walks the table inline instead, counting the miss.
+    pub fn encrypt_i64<R: Rng + ?Sized>(&mut self, m: i64, rng: &mut R) -> Ciphertext {
+        let rn = self.factor(rng);
+        self.pk.encrypt_i64_with_factor(m, &rn)
+    }
+
+    /// Packs and encrypts a batch of values using a pooled factor (or an
+    /// inline one, counting the miss, when the pool is drained).
     /// Packing is validated *before* a factor is consumed, so a rejected
     /// batch neither spends nor miscounts pool state.
     pub fn encrypt_packed<R: Rng + ?Sized>(
@@ -299,12 +326,8 @@ impl RandomnessPool {
     ) -> Result<PackedCiphertext, PaillierError> {
         spec.check_key(&self.pk)?;
         let m = pack_values(&spec, values)?;
-        match self.take_factor() {
-            Some(rn) => {
-                Ok(PackedCiphertext::from_plain_with_factor(&self.pk, spec, values.len(), &m, &rn))
-            }
-            None => PackedCiphertext::encrypt(&self.pk, spec, values, rng),
-        }
+        let rn = self.factor(rng);
+        Ok(PackedCiphertext::from_plain_with_factor(&self.pk, spec, values.len(), &m, &rn))
     }
 }
 
@@ -448,6 +471,76 @@ mod tests {
         let f1 = pool.take_factor().unwrap();
         let f2 = pool.take_factor().unwrap();
         assert_ne!(f1, f2);
+    }
+
+    #[test]
+    fn fixed_base_encrypt_round_trips_at_the_message_bounds() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let kp = Keypair::generate(128, &mut rng);
+        let (pk, sk) = (kp.public(), kp.private());
+        let base = RefillBase::for_key(&pk);
+        for m in [0i64, 1, -1, i64::MAX, -i64::MAX] {
+            let c = base.encrypt_i64(&pk, m, &mut rng);
+            assert_eq!(sk.decrypt_i64(&c), m, "m={m}");
+        }
+
+        let kp = Keypair::generate(256, &mut rng);
+        let (pk, sk) = (kp.public(), kp.private());
+        let base = RefillBase::for_key(&pk);
+        let spec = PackingSpec::for_key(&pk, 32).unwrap();
+        let edge = spec.value_bound() - 1;
+        let values = [0, 1, -1, edge, -edge];
+        let packed = base.encrypt_packed(&pk, spec, &values, &mut rng).unwrap();
+        assert_eq!(packed.weight(), 1);
+        assert_eq!(packed.decrypt(&sk).unwrap(), values);
+        // The bound itself is out of range, on either side.
+        for v in [edge + 1, -edge - 1] {
+            assert!(matches!(
+                base.encrypt_packed(&pk, spec, &[v], &mut rng),
+                Err(PaillierError::MessageOutOfRange)
+            ));
+        }
+    }
+
+    #[test]
+    fn fixed_base_encrypt_bytes_are_a_function_of_the_rng_seed() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let kp = Keypair::generate(256, &mut rng);
+        let pk = kp.public();
+        let base = RefillBase::for_key(&pk);
+        let spec = PackingSpec::for_key(&pk, 32).unwrap();
+        let single = |seed| base.encrypt_i64(&pk, -77, &mut StdRng::seed_from_u64(seed));
+        let packed = |seed| {
+            base.encrypt_packed(&pk, spec, &[5, -6], &mut StdRng::seed_from_u64(seed)).unwrap().ct
+        };
+        assert_eq!(single(1).raw(), single(1).raw());
+        assert_ne!(single(1).raw(), single(2).raw());
+        assert_eq!(packed(1).raw(), packed(1).raw());
+        assert_ne!(packed(1).raw(), packed(2).raw());
+    }
+
+    #[test]
+    fn drained_pool_walks_the_table_inline() {
+        // A miss is the fixed-base encryption on the caller's rng, not a
+        // full-width r^n: same bytes as RefillBase gives for that rng.
+        let mut rng = StdRng::seed_from_u64(34);
+        let kp = Keypair::generate(256, &mut rng);
+        let pk = kp.public();
+        let base = Arc::new(RefillBase::for_key(&pk));
+        let spec = PackingSpec::for_key(&pk, 32).unwrap();
+        let mut pool = RandomnessPool::with_base(pk.clone(), base.clone());
+
+        let via_pool = pool.encrypt_i64(9, &mut StdRng::seed_from_u64(7));
+        let direct = base.encrypt_i64(&pk, 9, &mut StdRng::seed_from_u64(7));
+        assert_eq!(via_pool.raw(), direct.raw());
+        assert_eq!(kp.private().decrypt_i64(&via_pool), 9);
+
+        let via_pool = pool.encrypt_packed(spec, &[3, -4], &mut StdRng::seed_from_u64(8)).unwrap();
+        let direct =
+            base.encrypt_packed(&pk, spec, &[3, -4], &mut StdRng::seed_from_u64(8)).unwrap();
+        assert_eq!(via_pool.ct.raw(), direct.ct.raw());
+        assert_eq!(via_pool.decrypt(&kp.private()).unwrap(), vec![3, -4]);
+        assert_eq!(pool.misses(), 2);
     }
 
     #[test]

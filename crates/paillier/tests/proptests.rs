@@ -99,6 +99,36 @@ proptest! {
         prop_assert_eq!(kp.private().decrypt_i64(&fused), want);
     }
 
+    /// A layer's rows through one batched inversion must equal one
+    /// `dot_i64` per row bit for bit, whichever rows carry a negative
+    /// weight (none, some or all of them).
+    #[test]
+    fn dot_rows_bit_identical_to_per_row_dot(
+        ms in proptest::collection::vec(-1000i64..1000, 1..6),
+        rows in proptest::collection::vec(
+            (proptest::collection::vec((0usize..6, -1000i64..1000), 0..6), -1000i64..1000),
+            0..6),
+    ) {
+        let kp = keypair();
+        let pk = kp.public();
+        let mut rng = StdRng::seed_from_u64(ms.len() as u64 ^ (rows.len() as u64) << 32);
+        let cts: Vec<_> = ms.iter().map(|&m| pk.encrypt_i64(m, &mut rng)).collect();
+        let rows: Vec<(Vec<(usize, i64)>, i64)> = rows
+            .into_iter()
+            .map(|(terms, bias)| {
+                (terms.into_iter().map(|(i, w)| (i % cts.len(), w)).collect(), bias)
+            })
+            .collect();
+
+        let inputs = pp_paillier::MontInputs::new(&pk, &cts);
+        let batched = inputs.dot_rows(rows.iter().map(|(t, b)| (t.as_slice(), *b)));
+        prop_assert_eq!(batched.len(), rows.len());
+        for ((terms, bias), got) in rows.iter().zip(&batched) {
+            let per_row = inputs.dot_i64(terms, *bias);
+            prop_assert_eq!(got.raw(), per_row.raw());
+        }
+    }
+
     /// Packed encrypt → decrypt is the identity at every slot width and
     /// occupancy the key supports.
     #[test]

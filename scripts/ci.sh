@@ -100,7 +100,8 @@ run_fuzz_gate
 echo "==> fault injection compiles out cleanly"
 cargo build -p pp-stream --no-default-features
 
-echo "==> kernel gate: fused dot <= naive fold, fixed-base refill <= pow_mod refill,"
+echo "==> kernel gate: fused dot <= naive fold, fixed-base encrypt < full-width encrypt,"
+echo "    batched-inversion dot rows <= per-row, fixed-base refill <= pow_mod refill,"
 echo "    parallel CRT decrypt <= sequential (15% grace on single-core hosts)"
 cargo run --release -p pp-bench --bin bench_kernels -- --smoke
 

@@ -208,3 +208,74 @@ fn permutations_vary_per_round_and_request() {
     assert_eq!(sa, sb, "same multiset of activations");
     assert_ne!(va, vb, "different permutation per request");
 }
+
+#[test]
+fn input_blinding_does_not_repeat_across_stream_calls() {
+    // Two `infer_stream` calls on one session, same input. Were the k-th
+    // input element of both calls blinded by the same factor, the model
+    // provider could divide the two ciphertexts and read
+    // `1 + (x_k − x'_k)·n`; with equal inputs the ciphertexts would be
+    // byte-identical. A frame-forwarding relay stands where the model
+    // provider's socket is and records what the client sends.
+    use pp_stream::messages::{peek_tag, MsgTag};
+    use pp_stream::{ModelProvider, NetConfig, NetworkedSession, ServeOptions};
+    use pp_stream_runtime::tcp;
+    use pp_stream_runtime::wire::from_frame;
+    use std::net::TcpListener;
+    use std::sync::Mutex;
+
+    let mut rng = StdRng::seed_from_u64(6);
+    let model = zoo::mlp("m", &[6, 8, 3], &mut rng).expect("model");
+    let scaled = ScaledModel::from_model(&model, 1_000);
+    let config = NetConfig::small_test(128);
+    let provider = Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
+    let handle = provider
+        .serve_forever(TcpListener::bind("127.0.0.1:0").expect("bind"), ServeOptions::default())
+        .expect("spawn server");
+    let server = handle.addr();
+
+    let relay = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let relay_addr = relay.local_addr().expect("relay addr");
+    let requests: Arc<Mutex<Vec<EncTensorMsg>>> = Arc::default();
+    let seen = Arc::clone(&requests);
+    let forwarding = std::thread::spawn(move || {
+        let (mut to_client, mut from_client) =
+            tcp::accept_on(&relay, &pp_stream_runtime::TcpConfig::new()).expect("accept");
+        let (mut to_server, mut from_server) = tcp::connect(server).expect("connect upstream");
+        let replies = std::thread::spawn(move || {
+            while let Ok(Some(frame)) = from_server.recv() {
+                if to_client.send(&frame).is_err() {
+                    break;
+                }
+            }
+        });
+        while let Ok(Some(frame)) = from_client.recv() {
+            if peek_tag(&frame.payload) == Some(MsgTag::EncTensor) {
+                seen.lock().unwrap().push(from_frame(frame.payload.clone()).expect("request"));
+            }
+            if to_server.send(&frame).is_err() {
+                break;
+            }
+        }
+        drop(to_server);
+        replies.join().expect("reply relay");
+    });
+
+    let mut session = NetworkedSession::connect(relay_addr, scaled, &config).expect("connect");
+    let input = Tensor::from_flat(vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
+    let (first, _) = session.infer_stream(std::slice::from_ref(&input)).expect("first call");
+    let (second, _) = session.infer_stream(std::slice::from_ref(&input)).expect("second call");
+    assert_eq!(first, second, "same input, same inference");
+    assert!(session.shutdown().clean_shutdown);
+    forwarding.join().expect("relay");
+    handle.shutdown();
+
+    // Round 0 of each item is the un-obfuscated input tensor.
+    let requests = requests.lock().unwrap();
+    let inputs: Vec<&EncTensorMsg> = requests.iter().filter(|m| !m.obfuscated).collect();
+    assert_eq!(inputs.len(), 2, "one input tensor per call");
+    assert_eq!(inputs[0].cts.len(), 6);
+    for (k, (a, b)) in inputs[0].cts.iter().zip(&inputs[1].cts).enumerate() {
+        assert_ne!(a, b, "input element {k} is blinded by the same factor in both calls");
+    }
+}
