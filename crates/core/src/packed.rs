@@ -32,7 +32,9 @@ use crate::protocol::{mix, shape_to_wire, LinearStage, NonLinearStage};
 use pp_nn::scaling::ScaledOp;
 use pp_obfuscate::Permutation;
 use pp_paillier::packing::{PackedCiphertext, PackedMontInputs, PackingSpec};
-use pp_paillier::{shared_refill_cache, Ciphertext, PaillierError, PublicKey, RandomnessPool};
+use pp_paillier::{
+    shared_refill_cache, Ciphertext, PaillierError, PrivateKey, PublicKey, RandomnessPool,
+};
 use pp_stream_runtime::pool::WorkerPool;
 use pp_stream_runtime::StreamError;
 use pp_tensor::ops::{affine, conv2d, fully_connected, sum_pool2d};
@@ -350,6 +352,32 @@ fn run_packed_op(
     }
 }
 
+/// Data provider: validates every position of a packed message against
+/// the key and the negotiated layout, then decrypts them all in one
+/// worker dispatch. Each inner vector holds one position's slot values.
+fn decrypt_positions(
+    msg: &PackedTensorMsg,
+    pk: &PublicKey,
+    sk: &PrivateKey,
+    workers: &WorkerPool,
+) -> Result<Vec<Vec<i64>>, PaillierError> {
+    let spec = msg_spec(msg);
+    let packed: Vec<PackedCiphertext> = msg
+        .cts
+        .iter()
+        .map(|b| {
+            PackedCiphertext::from_parts(
+                pk,
+                Ciphertext::from_bytes(b),
+                spec,
+                msg.seqs.len(),
+                msg.weight,
+            )
+        })
+        .collect::<Result<_, _>>()?;
+    PackedCiphertext::decrypt_all(&packed, sk, workers)
+}
+
 /// Data provider, mid-pipeline: decrypt every packed position, apply the
 /// stage's element-wise non-linear ops to the slot values (the identical
 /// `i128` math as [`NonLinearStage::apply_ops`] on the unpacked path),
@@ -369,13 +397,9 @@ pub(crate) fn repack_nonlinear(
     let spec = msg_spec(&msg);
     let pk = nl.keypair.public();
     let sk = nl.keypair.private();
-    let used = msg.seqs.len();
     let mut positions: Vec<Vec<i64>> = Vec::with_capacity(msg.cts.len());
-    for b in &msg.cts {
-        let packed =
-            PackedCiphertext::from_parts(&pk, Ciphertext::from_bytes(b), spec, used, msg.weight)?;
-        let mut vals: Vec<i128> =
-            packed.decrypt_parallel(&sk, workers)?.iter().map(|&v| v as i128).collect();
+    for slots in decrypt_positions(&msg, &pk, &sk, workers)? {
+        let mut vals: Vec<i128> = slots.iter().map(|&v| v as i128).collect();
         nl.apply_ops(&mut vals);
         positions.push(
             vals.iter()
@@ -430,23 +454,17 @@ pub(crate) fn unpack_final(
             "packed batch without ciphertexts".into(),
         ));
     }
-    let spec = msg_spec(&msg);
     let pk = nl.keypair.public();
     let sk = nl.keypair.private();
-    let used = msg.seqs.len();
     // The scatter buffers are sized `seqs × cts` — both attacker-chosen —
-    // so allocation waits until the first `from_parts` has bounded `used`
-    // by the slot count and the slot count by the key capacity.
-    let mut per_item: Vec<Vec<i128>> = Vec::new();
-    for b in &msg.cts {
-        let packed =
-            PackedCiphertext::from_parts(&pk, Ciphertext::from_bytes(b), spec, used, msg.weight)?;
-        let mut vals: Vec<i128> =
-            packed.decrypt_parallel(&sk, workers)?.iter().map(|&v| v as i128).collect();
+    // so allocation waits until `from_parts` has bounded the member
+    // count by the slot count and the slot count by the key capacity.
+    let decrypted = decrypt_positions(&msg, &pk, &sk, workers)?;
+    let mut per_item: Vec<Vec<i128>> =
+        vec![Vec::with_capacity(msg.cts.len()); msg.seqs.len()];
+    for slots in decrypted {
+        let mut vals: Vec<i128> = slots.iter().map(|&v| v as i128).collect();
         nl.apply_ops(&mut vals);
-        if per_item.is_empty() {
-            per_item = vec![Vec::with_capacity(msg.cts.len()); used];
-        }
         for (item, &v) in per_item.iter_mut().zip(vals.iter()) {
             item.push(v);
         }

@@ -370,8 +370,11 @@ impl PrivateKey {
     /// Decrypts a batch, spreading the `2·len` independent CRT half
     /// exponentiations across the worker pool — twice the schedulable
     /// units of a per-ciphertext split, which matters when the batch is
-    /// smaller than the pool. Sequential below the same cutoff as
-    /// [`PrivateKey::decrypt_crt_parallel`].
+    /// smaller than the pool. The halves are handed out in
+    /// [`DECRYPT_CHUNKS_PER_WORKER`] ranges per worker rather than one,
+    /// so a worker the host slows down mid-batch takes fewer of them
+    /// instead of holding the whole batch up. Sequential below the same
+    /// cutoff as [`PrivateKey::decrypt_crt_parallel`].
     pub fn decrypt_batch(&self, cts: &[Ciphertext], workers: &WorkerPool) -> Vec<BigUint> {
         if workers.size() < 2 || self.public.bits() < DECRYPT_PAR_MIN_BITS {
             return cts.iter().map(|c| self.decrypt(c)).collect();
@@ -390,7 +393,9 @@ impl PrivateKey {
     ) -> Vec<BigUint> {
         let sk = self.clone();
         let cts_shared: Arc<[Ciphertext]> = Arc::from(cts.to_vec());
-        let halves = workers.map_ranges(2 * cts.len(), move |range| {
+        let halves = 2 * cts.len();
+        let chunk = halves.div_ceil(DECRYPT_CHUNKS_PER_WORKER * workers.size());
+        let halves = workers.map_chunks(halves, chunk, move |range| {
             range
                 .map(|i| {
                     let c = &cts_shared[i / 2];
@@ -470,6 +475,14 @@ impl PrivateKey {
 /// worth the hand-off: the two half exponentiations must each outweigh
 /// a worker wake-up.
 const DECRYPT_PAR_MIN_BITS: usize = 1024;
+
+/// Ranges a batch decryption queues per worker. With one per worker the
+/// batch ends when the slower worker does. With `k`, a worker slowed to
+/// 0.6 of the other's speed can hold the batch up by at most the one
+/// range it took last, `1 / (0.6·k)` of an even share: a fifth at
+/// eight. A range never holds less than one half exponentiation (a
+/// millisecond at 2048 bits), against microseconds to queue it.
+const DECRYPT_CHUNKS_PER_WORKER: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -607,11 +620,21 @@ mod tests {
         let kp = small_keypair(41);
         let (pk, sk) = (kp.public(), kp.private());
         let workers = WorkerPool::new(3);
-        let ms = [5i64, -6, 0, i32::MAX as i64, -40_000];
+        let ms: Vec<i64> =
+            [5i64, -6, 0, i32::MAX as i64, -40_000].into_iter().chain(-7..8).collect();
         let cts: Vec<_> = ms.iter().map(|&m| pk.encrypt_i64(m, &mut rng)).collect();
         let want: Vec<_> = cts.iter().map(|c| sk.decrypt(c)).collect();
         assert_eq!(sk.decrypt_batch_unchecked(&cts, &workers), want);
         assert_eq!(sk.decrypt_batch(&cts, &workers), want);
+        // Every range length the queueing can choose, odd ones included:
+        // twenty ciphertexts on two workers queue ranges of three halves,
+        // so every other range starts on a `q²` half.
+        for size in [2, 4] {
+            let workers = WorkerPool::new(size);
+            for len in 1..=cts.len() {
+                assert_eq!(sk.decrypt_batch_unchecked(&cts[..len], &workers), want[..len]);
+            }
+        }
         assert!(sk.decrypt_batch(&[], &workers).is_empty());
         // Inline pool (size 0) takes the sequential path.
         assert_eq!(sk.decrypt_batch(&cts, &WorkerPool::inline()), want);

@@ -416,6 +416,24 @@ impl PackedCiphertext {
         self.unpack_residue(sk.decrypt_crt_parallel(&self.ct, workers))
     }
 
+    /// Decrypts and unpacks a tensor's packed positions in one dispatch:
+    /// the CRT halves of all positions go through
+    /// [`PrivateKey::decrypt_batch`] together, where a
+    /// [`PackedCiphertext::decrypt_parallel`] per position would wake and
+    /// join the workers once for every two half exponentiations.
+    pub fn decrypt_all(
+        positions: &[PackedCiphertext],
+        sk: &PrivateKey,
+        workers: &WorkerPool,
+    ) -> Result<Vec<Vec<i64>>, PaillierError> {
+        let cts: Vec<Ciphertext> = positions.iter().map(|p| p.ct.clone()).collect();
+        positions
+            .iter()
+            .zip(sk.decrypt_batch(&cts, workers))
+            .map(|(p, m)| p.unpack_residue(m))
+            .collect()
+    }
+
     /// Unpacks a decrypted residue into the active slots.
     fn unpack_residue(&self, m: BigUint) -> Result<Vec<i64>, PaillierError> {
         let offset_total = (self.weight as u128)
@@ -653,6 +671,23 @@ mod tests {
         let values = vec![0i64, 1, -1, 123_456, -654_321];
         let packed = PackedCiphertext::encrypt(&kp.public(), spec, &values, &mut rng).unwrap();
         assert_eq!(packed.decrypt(&kp.private()).unwrap(), values);
+    }
+
+    #[test]
+    fn decrypt_all_matches_decrypt_per_position() {
+        let (kp, spec, mut rng) = setup(16);
+        let (pk, sk) = (kp.public(), kp.private());
+        let positions: Vec<PackedCiphertext> = (0..5i64)
+            .map(|a| {
+                let values = [a, -a * 7, 123_456 - a, 0];
+                PackedCiphertext::encrypt(&pk, spec, &values, &mut rng).unwrap()
+            })
+            .collect();
+        let want: Vec<Vec<i64>> = positions.iter().map(|p| p.decrypt(&sk).unwrap()).collect();
+        for workers in [WorkerPool::new(2), WorkerPool::inline()] {
+            assert_eq!(PackedCiphertext::decrypt_all(&positions, &sk, &workers).unwrap(), want);
+            assert!(PackedCiphertext::decrypt_all(&[], &sk, &workers).unwrap().is_empty());
+        }
     }
 
     #[test]

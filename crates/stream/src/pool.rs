@@ -77,7 +77,32 @@ impl WorkerPool {
             // Inline pool: no workers to dispatch to.
             return f(0..count);
         }
-        let parts = self.size.min(count);
+        self.map_chunks(count, count.div_ceil(self.size), f)
+    }
+
+    /// [`WorkerPool::map_ranges`] with the range length chosen by the
+    /// caller: `f` runs over consecutive ranges of `chunk` items (the
+    /// last may be shorter), queued in index order and taken by
+    /// whichever worker is free next. With more ranges than workers a
+    /// worker that is slowed down — a busy sibling hyperthread, a
+    /// descheduled vCPU — ends up with fewer of them, so the call takes
+    /// the pool's combined speed instead of waiting for its slowest
+    /// half. For work with no per-range set-up; the ranges, and so the
+    /// results, depend on `count` and `chunk` only, never on timing.
+    /// Panics propagate as in `map_ranges`.
+    pub fn map_chunks<T, F>(&self, count: usize, chunk: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(Range<usize>) -> Vec<T> + Send + Sync + 'static,
+    {
+        if count == 0 {
+            return Vec::new();
+        }
+        let chunk = chunk.clamp(1, count);
+        let parts = count.div_ceil(chunk);
+        let Some(tx) = self.tx.as_ref() else {
+            return (0..parts).flat_map(|p| f(p * chunk..((p + 1) * chunk).min(count))).collect();
+        };
         let f = Arc::new(f);
         let results: Arc<Vec<parking_lot::Mutex<Option<Vec<T>>>>> =
             Arc::new((0..parts).map(|_| parking_lot::Mutex::new(None)).collect());
@@ -86,7 +111,6 @@ impl WorkerPool {
             Arc::new(parking_lot::Mutex::new(None));
         let done = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
 
-        let chunk = count.div_ceil(parts);
         for p in 0..parts {
             let start = p * chunk;
             let end = ((p + 1) * chunk).min(count);
@@ -111,7 +135,7 @@ impl WorkerPool {
                     cvar.notify_all();
                 }
             });
-            self.tx.as_ref().expect("pool alive").send(job).expect("workers alive");
+            tx.send(job).expect("workers alive");
         }
 
         let (lock, cvar) = &*done;
@@ -173,6 +197,59 @@ mod tests {
         let pool = WorkerPool::new(8);
         let out = pool.map_ranges(3, |r| r.collect::<Vec<usize>>());
         assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn map_chunks_hands_out_the_documented_ranges_in_order() {
+        let seen = |pool: &WorkerPool, count: usize, chunk: usize| -> Vec<(usize, usize)> {
+            pool.map_chunks(count, chunk, |r| vec![(r.start, r.end)])
+        };
+        for pool in [WorkerPool::new(2), WorkerPool::inline()] {
+            assert_eq!(seen(&pool, 10, 4), vec![(0, 4), (4, 8), (8, 10)]);
+            assert_eq!(seen(&pool, 3, 1), vec![(0, 1), (1, 2), (2, 3)]);
+            // A zero or oversized chunk is clamped, never an empty range.
+            assert_eq!(seen(&pool, 3, 0), vec![(0, 1), (1, 2), (2, 3)]);
+            assert_eq!(seen(&pool, 3, 99), vec![(0, 3)]);
+            assert!(seen(&pool, 0, 4).is_empty());
+            let out = pool.map_chunks(100, 7, |r| r.map(|i| i * 2).collect());
+            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn map_ranges_never_passes_an_inverted_range() {
+        // 5 items on 4 workers: ranges of 2 cover them in three pieces;
+        // a fourth would start past the end.
+        let pool = WorkerPool::new(4);
+        let data: Arc<Vec<usize>> = Arc::new((0..5).collect());
+        let out = pool.map_ranges(5, move |r| data[r].to_vec());
+        assert_eq!(out, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_stalled_worker_does_not_hold_the_other_ranges() {
+        // Range 0 cannot finish before every other range has: with one
+        // fixed share per worker the stalled worker's later ranges would
+        // wait behind it and the call would only end at the time-out.
+        let pool = WorkerPool::new(2);
+        let others_done = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&others_done);
+        let started = std::time::Instant::now();
+        let out = pool.map_chunks(8, 1, move |r| {
+            if r.start == 0 {
+                while counter.load(Ordering::Acquire) < 7
+                    && started.elapsed() < std::time::Duration::from_secs(20)
+                {
+                    std::thread::yield_now();
+                }
+            } else {
+                counter.fetch_add(1, Ordering::AcqRel);
+            }
+            r.collect()
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert_eq!(others_done.load(Ordering::Acquire), 7);
+        assert!(started.elapsed() < std::time::Duration::from_secs(20), "ranges were not shared");
     }
 
     #[test]
