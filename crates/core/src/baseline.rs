@@ -9,9 +9,8 @@
 //! Both reuse the exact stage executors of [`crate::protocol`], so
 //! CipherBase's outputs are bit-identical to the pipelined system's.
 
-use crate::encapsulate::{encapsulate, StageRole};
-use crate::messages::PlainTensorMsg;
-use crate::protocol::{EncryptStage, LinearStage, NonLinearStage, PartitionMode, PermStore};
+use crate::encapsulate::encapsulate;
+use crate::protocol::{plain_msg, PartitionMode, StageChain};
 use crate::CoreError;
 use pp_nn::scaling::ScaledModel;
 use pp_nn::Model;
@@ -20,8 +19,6 @@ use pp_stream_runtime::WorkerPool;
 use pp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of a baseline run.
@@ -71,79 +68,17 @@ pub fn cipher_base(
     let mut rng = StdRng::seed_from_u64(seed);
     let keypair = Keypair::generate(key_bits, &mut rng);
     let pool = WorkerPool::new(1);
-    let perms = Arc::new(PermStore::default());
-    let intra = Arc::new(AtomicU64::new(0));
-    let n_linear = stages.iter().filter(|s| s.role == StageRole::Linear).count();
-
-    let encrypt = EncryptStage { pk: keypair.public(), seed, rand_pool: None };
-    let mut linear_execs = Vec::new();
-    let mut nonlinear_execs = Vec::new();
-    let mut linear_idx = 0usize;
-    for (i, stage) in stages.iter().enumerate() {
-        match stage.role {
-            StageRole::Linear => {
-                linear_execs.push(LinearStage {
-                    pk: keypair.public(),
-                    stage: stage.clone(),
-                    linear_idx,
-                    is_first: linear_idx == 0,
-                    is_last: linear_idx == n_linear - 1,
-                    perms: Arc::clone(&perms),
-                    mode: PartitionMode::Partitioned,
-                    seed: seed ^ (i as u64) << 8,
-                    intra_bytes: Arc::clone(&intra),
-                });
-                linear_idx += 1;
-            }
-            StageRole::NonLinear => nonlinear_execs.push(NonLinearStage {
-                keypair: keypair.clone(),
-                stage: stage.clone(),
-                factor: scaled.factor(),
-                is_last: i == stages.len() - 1,
-                seed: seed ^ 0xBEEF ^ (i as u64) << 8,
-            }),
-        }
-    }
+    let chain =
+        StageChain::new(&stages, &keypair, scaled.factor(), seed, PartitionMode::Partitioned, None);
 
     let start = Instant::now();
     let mut classes = Vec::with_capacity(inputs.len());
     let mut latencies = Vec::with_capacity(inputs.len());
     for (seq, input) in inputs.iter().enumerate() {
         let t0 = Instant::now();
-        let scaled_in = scaled.scale_input(input);
-        let plain = PlainTensorMsg {
-            seq: seq as u64,
-            shape: input.shape().dims().iter().map(|&d| d as u64).collect(),
-            values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-        };
-        let mut msg = encrypt.encrypt(plain, &pool);
-        let (mut li, mut ni) = (0usize, 0usize);
-        let mut result: Option<PlainTensorMsg> = None;
-        for stage in &stages {
-            match stage.role {
-                StageRole::Linear => {
-                    msg = linear_execs[li]
-                        .execute(msg, &pool)
-                        .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                    li += 1;
-                }
-                StageRole::NonLinear => {
-                    let exec = &nonlinear_execs[ni];
-                    if exec.is_last {
-                        result = Some(
-                            exec.execute_final(msg.clone(), &pool)
-                                .map_err(|e| CoreError::Runtime(e.to_string()))?,
-                        );
-                    } else {
-                        msg = exec
-                            .execute(msg, &pool)
-                            .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                    }
-                    ni += 1;
-                }
-            }
-        }
-        let result = result.expect("model ends non-linear");
+        let result = chain
+            .walk(plain_msg(scaled, seq as u64, input), &pool, |_, _, _| {})
+            .map_err(|e| CoreError::Runtime(e.to_string()))?;
         let out: Vec<i64> = result
             .values
             .iter()

@@ -12,7 +12,9 @@ use crate::messages::{
     RejectCode, RejectMsg, ResumeMsg, PROTOCOL_VERSION,
 };
 use crate::packed;
-use crate::protocol::{mix, EncryptStage, NonLinearStage};
+use crate::protocol::{
+    encrypt_exec, mix, nonlinear_execs, plain_msg, EncryptStage, NonLinearStage,
+};
 use crate::session::RunReport;
 use crate::CoreError;
 use bytes::Bytes;
@@ -470,26 +472,21 @@ impl NetworkedSession {
         let packing = packing.filter(|s| accepted_slot_bits as usize == s.slot_bits);
 
         // Client-side execution plan: socket round trips for linear
-        // stages, local executors for the rest (same construction as the
-        // in-process session, so results match bit-for-bit).
-        let n = stages.len();
+        // stages, local executors for the rest.
+        let mut nonlinear =
+            nonlinear_execs(&stages, &keypair, scaled.factor(), config.seed).into_iter();
         let mut round = 0usize;
         let steps = stages
             .iter()
-            .enumerate()
-            .map(|(i, stage)| match stage.role {
+            .map(|stage| match stage.role {
                 StageRole::Linear => {
                     let step = ClientStep::Linear { round };
                     round += 1;
                     step
                 }
-                StageRole::NonLinear => ClientStep::NonLinear(Box::new(NonLinearStage {
-                    keypair: keypair.clone(),
-                    stage: stage.clone(),
-                    factor: scaled.factor(),
-                    is_last: i == n - 1,
-                    seed: config.seed ^ 0x2020 ^ (i as u64) << 8,
-                })),
+                StageRole::NonLinear => ClientStep::NonLinear(Box::new(
+                    nonlinear.next().expect("one executor per non-linear stage"),
+                )),
             })
             .collect();
 
@@ -512,11 +509,7 @@ impl NetworkedSession {
             tcp: config.tcp.clone(),
             scaled,
             steps,
-            encrypt: EncryptStage {
-                pk: keypair.public(),
-                seed: config.seed ^ 0x0E2C,
-                rand_pool: Some(Arc::clone(&rand_pool)),
-            },
+            encrypt: encrypt_exec(keypair.public(), config.seed, Some(Arc::clone(&rand_pool))),
             rand_pool,
             pool: WorkerPool::new(config.threads.max(1)),
             transport,
@@ -634,14 +627,7 @@ impl NetworkedSession {
                 let plains: Vec<PlainTensorMsg> = inputs[idx..idx + batch]
                     .iter()
                     .enumerate()
-                    .map(|(j, input)| {
-                        let scaled_in = self.scaled.scale_input(input);
-                        PlainTensorMsg {
-                            seq: base + j as u64,
-                            shape: input.shape().dims().iter().map(|&d| d as u64).collect(),
-                            values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-                        }
-                    })
+                    .map(|(j, input)| plain_msg(&self.scaled, base + j as u64, input))
                     .collect();
                 // One budget spans the whole batch: its members travel
                 // together, so they expire together.
@@ -677,12 +663,7 @@ impl NetworkedSession {
             for input in &inputs[idx..idx + batch] {
                 let t0 = Instant::now();
                 let seq = self.items_done;
-                let scaled_in = self.scaled.scale_input(input);
-                let plain = PlainTensorMsg {
-                    seq,
-                    shape: input.shape().dims().iter().map(|&d| d as u64).collect(),
-                    values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-                };
+                let plain = plain_msg(&self.scaled, seq, input);
                 // The end-to-end budget is stamped once per item and spans
                 // every hop, resume, and replay of it.
                 let deadline = self.item_deadline.map(|budget| Instant::now() + budget);
@@ -717,9 +698,6 @@ impl NetworkedSession {
             // One physical link: request and reply directions.
             link_bytes: vec![transport.bytes_sent, transport.bytes_received],
             intra_stage_bytes: 0, // linear dispatch happens server-side
-            stage_names: self.stage_names(),
-            stage_busy: vec![],
-            stage_threads: vec![],
             stages: vec![],
             transport: Some(transport),
             pool_misses: self.rand_pool.lock().misses(),
@@ -815,7 +793,7 @@ impl NetworkedSession {
         let expected: Vec<u64> = plains.iter().map(|p| p.seq).collect();
         let packed = {
             let mut pool = self.rand_pool.lock();
-            packed::pack_plain_batch(&self.encrypt.pk, spec, plains, &mut pool, self.encrypt.seed)
+            packed::pack_plain_batch(spec, plains, &mut pool, self.encrypt.seed)
         };
         let mut msg = match packed {
             Ok(m) => m,
@@ -1163,21 +1141,6 @@ impl NetworkedSession {
             self.transport.bytes_sent += len;
             self.transport.frames_sent += 1;
         }
-    }
-
-    fn stage_names(&self) -> Vec<String> {
-        let mut names = vec!["encrypt@data".to_string()];
-        let mut ni = 0;
-        for step in &self.steps {
-            match step {
-                ClientStep::Linear { round } => names.push(format!("linear-{round}@model")),
-                ClientStep::NonLinear(_) => {
-                    names.push(format!("nonlinear-{ni}@data"));
-                    ni += 1;
-                }
-            }
-        }
-        names
     }
 }
 

@@ -18,7 +18,7 @@ use crate::messages::{
     PackedTensorMsg, RejectMsg, ResumeMsg, PROTOCOL_VERSION,
 };
 use crate::packed::{self, PACKED_PERM_BIT};
-use crate::protocol::{LinearStage, PartitionMode, PermStore};
+use crate::protocol::{linear_execs, LinearStage, PartitionMode};
 use crate::CoreError;
 use bytes::Bytes;
 use pp_bigint::BigUint;
@@ -30,7 +30,6 @@ use pp_stream_runtime::wire::{from_frame, to_frame, WireEncode};
 use pp_stream_runtime::{StreamError, WorkerPool};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -250,7 +249,7 @@ pub(super) fn run_job(job: ExecJob, pool: &WorkerPool) -> JobDone {
                 if poison {
                     panic!("injected poison item in packed batch {key}");
                 }
-                packed::execute_packed_linear(exec, msg)
+                exec.execute_packed(msg, pool)
             }));
             JobDone::Packed { key, members, round, out }
         }
@@ -347,7 +346,7 @@ impl ModelProvider {
         ConnState {
             session,
             packing,
-            execs: Arc::new(self.build_linear_execs(pk)),
+            execs: Arc::new(linear_execs(&self.stages, pk, self.seed, PartitionMode::Partitioned)),
             next_round: HashMap::new(),
             next_packed: HashMap::new(),
             frame_ceiling: self.governor.config.negotiated_ceiling(
@@ -759,31 +758,6 @@ impl ModelProvider {
         }
         None
     }
-
-    fn build_linear_execs(&self, pk: &PublicKey) -> Vec<LinearStage> {
-        let perms = Arc::new(PermStore::default());
-        let n_linear = self.stages.iter().filter(|s| s.role == StageRole::Linear).count();
-        let mut linear_idx = 0usize;
-        let mut execs = Vec::with_capacity(n_linear);
-        for (i, stage) in self.stages.iter().enumerate() {
-            if stage.role != StageRole::Linear {
-                continue;
-            }
-            execs.push(LinearStage {
-                pk: pk.clone(),
-                stage: stage.clone(),
-                linear_idx,
-                is_first: linear_idx == 0,
-                is_last: linear_idx == n_linear - 1,
-                perms: Arc::clone(&perms),
-                mode: PartitionMode::Partitioned,
-                seed: self.seed ^ 0x11AE ^ (i as u64) << 8,
-                intra_bytes: Arc::new(AtomicU64::new(0)),
-            });
-            linear_idx += 1;
-        }
-        execs
-    }
 }
 
 #[cfg(test)]
@@ -917,6 +891,48 @@ mod tests {
         );
         // Slot too narrow to hold the offset guard bits for this budget.
         assert_eq!(provider.negotiate_packing(&hello(4, 1, budget), &pk), None);
+    }
+
+    #[test]
+    fn worker_panic_in_a_packed_round_aborts_the_batch_with_its_message() {
+        // A batch that arrives already at the op budget overflows it in
+        // the first dot product — on a pool worker, since the packed round
+        // runs on the pool. The panic must cross the pool to `run_job`'s
+        // trap with its message, and cost the batch, not the connection.
+        let m = model(2);
+        let mut config = NetConfig::small_test(128);
+        config.threads = 2;
+        let provider = ModelProvider::new(&m, &config).unwrap();
+        let pk = Keypair::generate(128, &mut StdRng::seed_from_u64(5)).public();
+        let budget = packed::required_budget(&provider.stages);
+        let spec = PackingSpec::for_key(&pk, 32).unwrap().with_budget(budget);
+        let mut conn = provider.conn_state(0, &pk, 16, Some(spec));
+
+        let plains: Vec<_> = (0..2)
+            .map(|seq| crate::messages::PlainTensorMsg { seq, shape: vec![4], values: vec![1; 4] })
+            .collect();
+        let mut factors = pp_paillier::RandomnessPool::new(pk.clone());
+        let mut msg = packed::pack_plain_batch(spec, &plains, &mut factors, 1).unwrap();
+        msg.weight = budget;
+
+        let job = ExecJob {
+            round: 0,
+            kind: JobKind::Packed { msg },
+            execs: Arc::clone(&conn.execs),
+            #[cfg(feature = "fault-injection")]
+            poison: false,
+        };
+        let done = run_job(job, &provider.pool);
+        let JobDone::Packed { out: Err(payload), .. } = &done else {
+            panic!("the overflow must surface as a trapped panic");
+        };
+        assert!(panic_message(payload.as_ref()).contains("op budget"));
+
+        let mut report = ServeReport::default();
+        let replies =
+            provider.on_exec_done(&mut conn, done, &mut report).expect("connection survives");
+        assert_eq!(replies.len(), 1);
+        assert_eq!(report.packed_aborts, 1);
     }
 
     #[test]

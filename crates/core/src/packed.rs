@@ -7,14 +7,13 @@
 //! in [`PackedMontInputs`] computes every request's dot product at once,
 //! amortizing the `O(key_bits)` squarings that dominate unpacked cost.
 //!
-//! The module supplies the four protocol legs of the packed round trip:
+//! The module supplies the data provider's three legs of the packed
+//! round trip; the model provider's linear round is the per-item one
+//! ([`crate::protocol::LinearStage`]), run over [`PackedEncCtx`]:
 //!
 //! * [`pack_plain_batch`] — data provider: gather a batch of scaled
 //!   plaintext tensors into one [`PackedTensorMsg`] (encrypt once per
 //!   tensor *position*, not per request);
-//! * [`execute_packed_linear`] — model provider: the same inverse
-//!   obfuscation → linear ops → obfuscation round as
-//!   [`LinearStage::execute`], on packed ciphertexts;
 //! * [`repack_nonlinear`] — data provider: decrypt each position, apply
 //!   the stage's element-wise non-linear ops to the slot values, and
 //!   re-encrypt at weight 1;
@@ -26,19 +25,16 @@
 //! rounding on the same `i128` values), a packed run is bit-identical to
 //! the per-request baseline.
 
-use crate::encapsulate::{op_output_shape, MergedStage, StageRole};
+use crate::encapsulate::{MergedStage, StageRole};
 use crate::messages::{PackedTensorMsg, PlainTensorMsg};
-use crate::protocol::{mix, shape_to_wire, LinearStage, NonLinearStage};
+use crate::protocol::{mix, NonLinearStage, RoundBackend};
 use pp_nn::scaling::ScaledOp;
-use pp_obfuscate::Permutation;
 use pp_paillier::packing::{PackedCiphertext, PackedMontInputs, PackingSpec};
 use pp_paillier::{
     shared_refill_cache, Ciphertext, PaillierError, PrivateKey, PublicKey, RandomnessPool,
 };
 use pp_stream_runtime::pool::WorkerPool;
-use pp_stream_runtime::StreamError;
-use pp_tensor::ops::{affine, conv2d, fully_connected, sum_pool2d};
-use pp_tensor::{LinearAlgebra, Tensor, TensorError};
+use pp_tensor::LinearAlgebra;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -105,6 +101,46 @@ impl LinearAlgebra for PackedEncCtx<'_> {
             .expect("packed dot inputs share one layout")
             .dot_rows(rows.iter().map(|r| (r.terms.as_slice(), r.bias)))
             .expect("packed dots within op budget")
+    }
+}
+
+/// The owned form of a [`PackedEncCtx`] that the linear round's worker
+/// tasks carry. An element travels to a task as its weight followed by
+/// its ciphertext: inside a stage weights differ between elements
+/// (padded conv edges, zero weights) until the reply equalizes them.
+#[derive(Clone)]
+pub(crate) struct PackedBackend {
+    pub(crate) pk: PublicKey,
+    pub(crate) spec: PackingSpec,
+    pub(crate) used: usize,
+}
+
+impl PackedBackend {
+    fn elem(&self, ct: Ciphertext, weight: u64) -> PackedCiphertext {
+        PackedCiphertext::from_parts(&self.pk, ct, self.spec, self.used, weight)
+            .expect("layout validated when the message was reassembled")
+    }
+}
+
+impl RoundBackend for PackedBackend {
+    type Elem = PackedCiphertext;
+    type Ctx<'a> = PackedEncCtx<'a>;
+
+    fn ctx(&self) -> PackedEncCtx<'_> {
+        PackedEncCtx { pk: &self.pk, spec: self.spec, used: self.used }
+    }
+    fn task_bytes(elem: &PackedCiphertext) -> Vec<u8> {
+        let mut bytes = elem.weight().to_le_bytes().to_vec();
+        bytes.extend_from_slice(&elem.ct.to_bytes());
+        bytes
+    }
+    fn read_task_bytes(&self, bytes: &[u8]) -> PackedCiphertext {
+        let (weight, ct) = bytes.split_at(8);
+        let weight = u64::from_le_bytes(weight.try_into().expect("split at 8"));
+        self.elem(Ciphertext::from_bytes(ct), weight)
+    }
+    fn placeholder(&self) -> PackedCiphertext {
+        self.elem(Ciphertext::new(pp_bigint::BigUint::zero()), 0)
     }
 }
 
@@ -182,7 +218,7 @@ pub(crate) fn msg_spec(msg: &PackedTensorMsg) -> PackingSpec {
 /// Revalidates and reassembles every packed ciphertext of a wire
 /// message ([`PackedCiphertext::from_parts`] checks layout, key
 /// capacity, and budget).
-fn reassemble(
+pub(crate) fn reassemble(
     pk: &PublicKey,
     msg: &PackedTensorMsg,
 ) -> Result<Vec<PackedCiphertext>, PaillierError> {
@@ -202,7 +238,6 @@ fn reassemble(
 /// derivation seed follows the unpacked [`crate::protocol::EncryptStage`]
 /// convention keyed by the first member's sequence number.
 pub(crate) fn pack_plain_batch(
-    pk: &PublicKey,
     spec: PackingSpec,
     plains: &[PlainTensorMsg],
     rand_pool: &mut RandomnessPool,
@@ -222,7 +257,6 @@ pub(crate) fn pack_plain_batch(
     if plains.iter().any(|p| p.shape != first.shape || p.values.len() != n) {
         return Err(PaillierError::PackingMismatch);
     }
-    let _ = pk;
     let mut rng = StdRng::seed_from_u64(mix(seed ^ first.seq.wrapping_mul(0x517c_c1b7)));
     let mut slots = vec![0i64; plains.len()];
     let mut cts = Vec::with_capacity(n);
@@ -246,112 +280,6 @@ pub(crate) fn pack_plain_batch(
     })
 }
 
-/// Model provider: one packed linear round — inverse obfuscation, the
-/// stage's homomorphic linear ops over all slots at once, weight
-/// equalization (so the wire message carries a single `weight`), and
-/// obfuscation (skipped by the last linear stage, Step 3.4).
-///
-/// Permutations are stored under the batch's [`PACKED_PERM_BIT`] key.
-/// Errors are returned (not panicked) wherever the input could be at
-/// fault, so the server can abort the batch and keep the connection.
-pub(crate) fn execute_packed_linear(
-    exec: &LinearStage,
-    msg: PackedTensorMsg,
-) -> Result<PackedTensorMsg, StreamError> {
-    assert_eq!(exec.stage.role, StageRole::Linear, "misconfigured stage");
-    if msg.seqs.is_empty() {
-        return Err(StreamError::Stage("empty packed batch".into()));
-    }
-    let spec = msg_spec(&msg);
-    let pk = &exec.pk;
-    let packed_key = msg.seqs[0] | PACKED_PERM_BIT;
-    let mut cts = reassemble(pk, &msg)
-        .map_err(|e| StreamError::Stage(format!("packed decode: {e}")))?;
-
-    // Inverse obfuscation (Steps 2.5 / 3.2), batch-wide.
-    if !exec.is_first {
-        let perm = exec.perms.take(packed_key, exec.linear_idx - 1).ok_or_else(|| {
-            StreamError::Stage(format!(
-                "linear stage {} has no stored permutation for packed batch {}",
-                exec.linear_idx, msg.seqs[0]
-            ))
-        })?;
-        cts = perm
-            .invert(&cts)
-            .map_err(|e| StreamError::Stage(format!("inverse obfuscation failed: {e}")))?;
-    }
-
-    // Homomorphic linear ops: the whole-tensor kernels over the packed
-    // back-end. One pass computes all `used` requests.
-    let ctx = PackedEncCtx { pk, spec, used: msg.seqs.len() };
-    let mut shape = exec.stage.input_shape.clone();
-    let mut tensor = Tensor::from_vec(shape.clone(), cts)
-        .map_err(|e| StreamError::Stage(format!("packed input shape: {e}")))?;
-    for op in &exec.stage.ops {
-        let out_shape = op_output_shape(op, &shape)
-            .map_err(|e| StreamError::Stage(format!("packed op shape: {e}")))?;
-        tensor = run_packed_op(&ctx, op, tensor)
-            .map_err(|e| StreamError::Stage(format!("packed linear op: {e}")))?;
-        shape = out_shape;
-    }
-
-    // Equalize weights: sparse rows (padded conv edges, zero weights)
-    // accumulate less offset than dense ones; raising everything to the
-    // max lets the wire format carry one weight for the whole tensor.
-    let mut out = tensor.into_data();
-    let target = out.iter().map(PackedCiphertext::weight).max().unwrap_or(1).max(1);
-    for c in out.iter_mut() {
-        *c = c
-            .raise_weight(pk, target)
-            .map_err(|e| StreamError::Stage(format!("packed weight equalization: {e}")))?;
-    }
-
-    // Obfuscation (Steps 1.4 / 2.7), skipped in the last round (3.4).
-    let obfuscated = if exec.is_last {
-        false
-    } else {
-        let mut rng = StdRng::seed_from_u64(mix(exec.seed ^ mix(packed_key) ^ exec.linear_idx as u64));
-        let perm = Permutation::random(out.len(), &mut rng);
-        out = perm.apply(&out).expect("lengths match");
-        exec.perms.put(packed_key, exec.linear_idx, perm);
-        true
-    };
-
-    Ok(PackedTensorMsg {
-        seqs: msg.seqs,
-        shape: shape_to_wire(&shape),
-        obfuscated,
-        slot_bits: spec.slot_bits as u32,
-        slots: spec.slots as u32,
-        op_budget: spec.op_budget,
-        weight: target,
-        cts: out.iter().map(|c| c.ct.to_bytes()).collect(),
-    })
-}
-
-/// One linear op on a packed tensor, whole-tensor (packing already
-/// parallelizes over the batch; per-element worker dispatch would
-/// re-serialize full-width ciphertexts for no win).
-fn run_packed_op(
-    ctx: &PackedEncCtx<'_>,
-    op: &ScaledOp,
-    input: Tensor<PackedCiphertext>,
-) -> Result<Tensor<PackedCiphertext>, TensorError> {
-    match op {
-        ScaledOp::Flatten => Ok(input.flatten()),
-        ScaledOp::ScaleMul { alpha } => {
-            let shape = input.shape().clone();
-            let data = input.data().iter().map(|x| ctx.mul(*alpha, x)).collect();
-            Tensor::from_vec(shape, data)
-        }
-        ScaledOp::Affine { scale, shift } => affine(ctx, &input, scale, shift),
-        ScaledOp::Dense { weights, bias } => fully_connected(ctx, &input, weights, bias),
-        ScaledOp::Conv2d { spec, weights, bias } => conv2d(ctx, &input, weights, bias, spec),
-        ScaledOp::SumPool { window, stride } => sum_pool2d(ctx, &input, *window, *stride),
-        other => unreachable!("op {other:?} in packed linear stage"),
-    }
-}
-
 /// Data provider: validates every position of a packed message against
 /// the key and the negotiated layout, then decrypts them all in one
 /// worker dispatch. Each inner vector holds one position's slot values.
@@ -361,21 +289,7 @@ fn decrypt_positions(
     sk: &PrivateKey,
     workers: &WorkerPool,
 ) -> Result<Vec<Vec<i64>>, PaillierError> {
-    let spec = msg_spec(msg);
-    let packed: Vec<PackedCiphertext> = msg
-        .cts
-        .iter()
-        .map(|b| {
-            PackedCiphertext::from_parts(
-                pk,
-                Ciphertext::from_bytes(b),
-                spec,
-                msg.seqs.len(),
-                msg.weight,
-            )
-        })
-        .collect::<Result<_, _>>()?;
-    PackedCiphertext::decrypt_all(&packed, sk, workers)
+    PackedCiphertext::decrypt_all(&reassemble(pk, msg)?, sk, workers)
 }
 
 /// Data provider, mid-pipeline: decrypt every packed position, apply the
@@ -480,31 +394,22 @@ pub(crate) fn unpack_final(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{PartitionMode, PermStore};
-    use pp_tensor::ops::Conv2dSpec;
+    use crate::protocol::{linear_execs, nonlinear_execs, LinearStage, PartitionMode};
     use pp_paillier::Keypair;
     use pp_stream_runtime::WorkerPool;
     use pp_tensor::ops as plain_ops;
-    use pp_tensor::{PlainI64, Shape};
-    use std::sync::atomic::AtomicU64;
+    use pp_tensor::ops::Conv2dSpec;
+    use pp_tensor::{PlainI64, Shape, Tensor};
 
     fn keypair(seed: u64) -> Keypair {
         let mut rng = StdRng::seed_from_u64(seed);
         Keypair::generate(256, &mut rng)
     }
 
-    fn linear_exec(kp: &Keypair, stage: MergedStage, is_last: bool) -> LinearStage {
-        LinearStage {
-            pk: kp.public(),
-            stage,
-            linear_idx: 0,
-            is_first: true,
-            is_last,
-            perms: Arc::new(PermStore::default()),
-            mode: PartitionMode::Partitioned,
-            seed: 7,
-            intra_bytes: Arc::new(AtomicU64::new(0)),
-        }
+    /// `stage` as a model's only linear stage: first and last, so its
+    /// round neither inverts nor draws a permutation.
+    fn linear_exec(kp: &Keypair, stage: MergedStage) -> LinearStage {
+        linear_execs(&[stage], &kp.public(), 7, PartitionMode::Partitioned).remove(0)
     }
 
     #[test]
@@ -585,7 +490,7 @@ mod tests {
             output_shape: Shape::new(vec![2, 4, 4]),
         };
         let budget = required_budget(std::slice::from_ref(&stage));
-        let exec = linear_exec(&kp, stage, true);
+        let exec = linear_exec(&kp, stage);
 
         let spec = PackingSpec::for_key(&kp.public(), 40).unwrap().with_budget(budget);
         spec.check().unwrap();
@@ -599,8 +504,8 @@ mod tests {
             .collect();
         let mut pool = RandomnessPool::new(kp.public());
         pool.refill(16, &mut rng);
-        let msg = pack_plain_batch(&kp.public(), spec, &plains, &mut pool, 3).unwrap();
-        let out = execute_packed_linear(&exec, msg).unwrap();
+        let msg = pack_plain_batch(spec, &plains, &mut pool, 3).unwrap();
+        let out = exec.execute_packed(msg, &WorkerPool::new(2)).unwrap();
         assert!(out.weight <= budget, "weight {} over budget {budget}", out.weight);
     }
 
@@ -619,7 +524,7 @@ mod tests {
             output_shape: Shape::vector(2),
         };
         let budget = required_budget(std::slice::from_ref(&stage));
-        let exec = linear_exec(&kp, stage, true);
+        let exec = linear_exec(&kp, stage);
         let spec = PackingSpec::for_key(&kp.public(), 32).unwrap().with_budget(budget);
 
         let batch: Vec<Vec<i64>> = vec![vec![3, -2, 5], vec![-4, 0, 1], vec![7, 7, -7]];
@@ -633,11 +538,11 @@ mod tests {
             })
             .collect();
         let mut pool = RandomnessPool::new(kp.public());
-        let msg = pack_plain_batch(&kp.public(), spec, &plains, &mut pool, 11).unwrap();
+        let msg = pack_plain_batch(spec, &plains, &mut pool, 11).unwrap();
         assert_eq!(msg.weight, 1);
         assert_eq!(msg.seqs, vec![0, 1, 2]);
 
-        let out = execute_packed_linear(&exec, msg).unwrap();
+        let out = exec.execute_packed(msg, &WorkerPool::new(2)).unwrap();
         assert!(!out.obfuscated, "last linear stage sends in the clear ordering");
         assert_eq!(out.shape, vec![2]);
 
@@ -664,6 +569,106 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(slots[j], want.data()[pos], "item {j} position {pos}");
+            }
+        }
+    }
+
+    /// The reply `exec` owes for `msg`, from the whole-tensor kernels over
+    /// the packed back-end on the calling thread — no worker tasks, no
+    /// task bytes. `exec` must be a first and last stage (no permutation).
+    fn whole_tensor_reply(exec: &LinearStage, msg: &PackedTensorMsg) -> (Vec<Vec<u8>>, u64) {
+        let ctx = PackedEncCtx { pk: &exec.pk, spec: msg_spec(msg), used: msg.seqs.len() };
+        let cts = reassemble(&exec.pk, msg).unwrap();
+        let mut tensor = Tensor::from_vec(exec.stage.input_shape.clone(), cts).unwrap();
+        for op in &exec.stage.ops {
+            tensor = match op {
+                ScaledOp::Flatten => Ok(tensor.flatten()),
+                ScaledOp::ScaleMul { alpha } => Tensor::from_vec(
+                    tensor.shape().clone(),
+                    tensor.data().iter().map(|x| ctx.mul(*alpha, x)).collect(),
+                ),
+                ScaledOp::Affine { scale, shift } => plain_ops::affine(&ctx, &tensor, scale, shift),
+                ScaledOp::Dense { weights, bias } => {
+                    plain_ops::fully_connected(&ctx, &tensor, weights, bias)
+                }
+                ScaledOp::Conv2d { spec, weights, bias } => {
+                    plain_ops::conv2d(&ctx, &tensor, weights, bias, spec)
+                }
+                ScaledOp::SumPool { window, stride } => {
+                    plain_ops::sum_pool2d(&ctx, &tensor, *window, *stride)
+                }
+                other => unreachable!("{other:?} in a linear stage"),
+            }
+            .unwrap();
+        }
+        let weight = tensor.data().iter().map(PackedCiphertext::weight).max().unwrap();
+        let cts = tensor
+            .data()
+            .iter()
+            .map(|c| c.raise_weight(&exec.pk, weight).unwrap().ct.to_bytes())
+            .collect();
+        (cts, weight)
+    }
+
+    #[test]
+    fn packed_round_matches_whole_tensor_kernels_on_every_pool() {
+        let kp = keypair(37);
+        let conv = ScaledOp::Conv2d {
+            spec: Conv2dSpec { in_channels: 1, out_channels: 2, kernel: 3, stride: 1, padding: 1 },
+            weights: Tensor::from_vec(
+                vec![2, 1, 3, 3],
+                (0..18).map(|i| (i as i64 % 5) - 2).collect(),
+            )
+            .unwrap(),
+            bias: vec![1, -1],
+        };
+        let dense = ScaledOp::Dense {
+            weights: Tensor::from_vec(vec![5, 3], (0..15).map(|i| (i as i64 % 7) - 3).collect())
+                .unwrap(),
+            bias: vec![5, -7, 0, 2, -1],
+        };
+        let stage = |ops, input: Vec<usize>, output: Vec<usize>| MergedStage {
+            role: StageRole::Linear,
+            ops,
+            input_shape: Shape::new(input),
+            output_shape: Shape::new(output),
+        };
+        let stages = [
+            stage(vec![ScaledOp::ScaleMul { alpha: -2 }, dense], vec![3], vec![5]),
+            stage(
+                vec![conv, ScaledOp::SumPool { window: 2, stride: 2 }],
+                vec![1, 4, 4],
+                vec![2, 2, 2],
+            ),
+            stage(
+                vec![ScaledOp::Affine { scale: vec![3, -2], shift: vec![1, 4] }],
+                vec![2, 2, 2],
+                vec![2, 2, 2],
+            ),
+        ];
+        let pools =
+            [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(3), WorkerPool::inline()];
+        for stage in stages {
+            let budget = required_budget(std::slice::from_ref(&stage));
+            let spec = PackingSpec::for_key(&kp.public(), 40).unwrap().with_budget(budget);
+            spec.check().unwrap();
+            let plains: Vec<PlainTensorMsg> = (0..3)
+                .map(|j| PlainTensorMsg {
+                    seq: j,
+                    shape: stage.input_shape.dims().iter().map(|&d| d as u64).collect(),
+                    values: (0..stage.input_shape.len() as i128)
+                        .map(|i| (i * 7 + j as i128) % 9 - 4)
+                        .collect(),
+                })
+                .collect();
+            let mut pool = RandomnessPool::new(kp.public());
+            let msg = pack_plain_batch(spec, &plains, &mut pool, 3).unwrap();
+            let exec = linear_exec(&kp, stage);
+            let want = whole_tensor_reply(&exec, &msg);
+            for workers in &pools {
+                let got = exec.execute_packed(msg.clone(), workers).unwrap();
+                assert_eq!(got.shape, crate::protocol::shape_to_wire(&exec.stage.output_shape));
+                assert_eq!((got.cts, got.weight), want, "{} workers", workers.size());
             }
         }
     }
@@ -700,34 +705,12 @@ mod tests {
             input_shape: Shape::vector(2),
             output_shape: Shape::vector(2),
         };
-        let stages = [lin1.clone(), relu.clone(), lin2.clone(), final_sm.clone()];
+        let stages = [lin1, relu, lin2, final_sm];
         let budget = required_budget(&stages);
-
-        let perms = Arc::new(PermStore::default());
-        let exec1 = LinearStage {
-            pk: kp.public(),
-            stage: lin1,
-            linear_idx: 0,
-            is_first: true,
-            is_last: false,
-            perms: Arc::clone(&perms),
-            mode: PartitionMode::Partitioned,
-            seed: 21,
-            intra_bytes: Arc::new(AtomicU64::new(0)),
-        };
-        let exec2 = LinearStage {
-            pk: kp.public(),
-            stage: lin2,
-            linear_idx: 1,
-            is_first: false,
-            is_last: true,
-            perms: Arc::clone(&perms),
-            mode: PartitionMode::Partitioned,
-            seed: 22,
-            intra_bytes: Arc::new(AtomicU64::new(0)),
-        };
-        let nl_mid = NonLinearStage { keypair: kp.clone(), stage: relu, factor: 100, is_last: false, seed: 23 };
-        let nl_last = NonLinearStage { keypair: kp.clone(), stage: final_sm, factor: 100, is_last: true, seed: 24 };
+        // One perm store for the packed batch, one for the unpacked items.
+        let execs = || linear_execs(&stages, &kp.public(), 21, PartitionMode::Partitioned);
+        let (packed_execs, item_execs) = (execs(), execs());
+        let nl = nonlinear_execs(&stages, &kp, 100, 21);
 
         let spec = PackingSpec::for_key(&kp.public(), 32).unwrap().with_budget(budget);
         let batch: Vec<Vec<i64>> = vec![vec![5, -3], vec![-2, 9], vec![0, 4], vec![6, 6]];
@@ -741,20 +724,17 @@ mod tests {
             })
             .collect();
         let mut pool = RandomnessPool::new(kp.public());
-        let msg = pack_plain_batch(&kp.public(), spec, &plains, &mut pool, 9).unwrap();
+        let msg = pack_plain_batch(spec, &plains, &mut pool, 9).unwrap();
 
         let wp = WorkerPool::new(2);
-        let msg = execute_packed_linear(&exec1, msg).unwrap();
+        let msg = packed_execs[0].execute_packed(msg, &wp).unwrap();
         assert!(msg.obfuscated, "mid-pipeline linear output is obfuscated");
-        let msg = repack_nonlinear(&nl_mid, msg, &wp).unwrap();
+        let msg = repack_nonlinear(&nl[0], msg, &wp).unwrap();
         assert_eq!(msg.weight, 1, "re-encryption resets the op weight");
-        let msg = execute_packed_linear(&exec2, msg).unwrap();
-        let outs = unpack_final(&nl_last, msg, &wp).unwrap();
+        let msg = packed_execs[1].execute_packed(msg, &wp).unwrap();
+        let outs = unpack_final(&nl[1], msg, &wp).unwrap();
 
-        // Unpacked per-item reference through the real stage executors.
-        let ref_perms = Arc::new(PermStore::default());
-        let r1 = LinearStage { perms: Arc::clone(&ref_perms), ..replace_perms(&exec1) };
-        let r2 = LinearStage { perms: Arc::clone(&ref_perms), ..replace_perms(&exec2) };
+        // Unpacked per-item reference through the same stage executors.
         for (j, item) in batch.iter().enumerate() {
             let seq = 10 + j as u64;
             let mut rng = StdRng::seed_from_u64(77 + j as u64);
@@ -768,28 +748,13 @@ mod tests {
                 obfuscated: false,
                 cts,
             };
-            let enc = r1.execute(enc, &wp).unwrap();
-            let enc = nl_mid.execute(enc, &wp).unwrap();
-            let enc = r2.execute(enc, &wp).unwrap();
-            let plain = nl_last.execute_final(enc, &wp).unwrap();
+            let enc = item_execs[0].execute(enc, &wp).unwrap();
+            let enc = nl[0].execute(enc, &wp).unwrap();
+            let enc = item_execs[1].execute(enc, &wp).unwrap();
+            let plain = nl[1].execute_final(enc, &wp).unwrap();
             assert_eq!(outs[j].seq, seq);
             assert_eq!(outs[j].shape, plain.shape);
             assert_eq!(outs[j].values, plain.values, "item {j} diverges from unpacked");
-        }
-    }
-
-    /// Clone a LinearStage but let the caller swap the perm store.
-    fn replace_perms(l: &LinearStage) -> LinearStage {
-        LinearStage {
-            pk: l.pk.clone(),
-            stage: l.stage.clone(),
-            linear_idx: l.linear_idx,
-            is_first: l.is_first,
-            is_last: l.is_last,
-            perms: Arc::new(PermStore::default()),
-            mode: l.mode,
-            seed: l.seed,
-            intra_bytes: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -801,16 +766,16 @@ mod tests {
         let a = PlainTensorMsg { seq: 0, shape: vec![2], values: vec![1, 2] };
         let b = PlainTensorMsg { seq: 1, shape: vec![3], values: vec![1, 2, 3] };
         assert!(matches!(
-            pack_plain_batch(&kp.public(), spec, &[a.clone(), b], &mut pool, 0),
+            pack_plain_batch(spec, &[a.clone(), b], &mut pool, 0),
             Err(PaillierError::PackingMismatch)
         ));
-        assert!(pack_plain_batch(&kp.public(), spec, &[], &mut pool, 0).is_err());
+        assert!(pack_plain_batch(spec, &[], &mut pool, 0).is_err());
 
         // Oversized batches are rejected up front.
         let many: Vec<PlainTensorMsg> = (0..spec.slots as u64 + 1)
             .map(|j| PlainTensorMsg { seq: j, shape: vec![1], values: vec![0] })
             .collect();
-        assert!(pack_plain_batch(&kp.public(), spec, &many, &mut pool, 0).is_err());
+        assert!(pack_plain_batch(spec, &many, &mut pool, 0).is_err());
     }
 
     #[test]

@@ -19,16 +19,25 @@
 //! either the whole input tensor (no partitioning: one task per output
 //! element), the whole tensor once per thread (output partitioning), or
 //! only the receptive-field sub-tensor (input + output partitioning,
-//! convolutions only).
+//! convolutions and pooling).
+//!
+//! The linear round is written once, over the [`LinearAlgebra`]
+//! back-end: [`LinearStage::execute`] and its batch-packed form are
+//! codecs around it. The executors of a model are built in one place
+//! ([`linear_execs`], [`nonlinear_execs`]), so every party derives the
+//! same seeds and results match bit-for-bit across deployments.
 
 use crate::encapsulate::{MergedStage, StageRole};
 use crate::encctx::EncCtx;
-use crate::messages::{EncTensorMsg, PlainTensorMsg};
+use crate::messages::{EncTensorMsg, PackedTensorMsg, PlainTensorMsg};
+use crate::packed::{msg_spec, reassemble, PackedBackend, PACKED_PERM_BIT};
 use parking_lot::Mutex;
 use pp_nn::activation::sigmoid_scalar;
-use pp_nn::scaling::{div_round, ScaledOp};
+use pp_nn::scaling::{div_round, ScaledModel, ScaledOp};
 use pp_obfuscate::Permutation;
+use pp_paillier::packing::PackedCiphertext;
 use pp_paillier::{shared_refill_cache, Ciphertext, Keypair, PublicKey, RandomnessPool};
+use pp_stream_runtime::wire::to_frame;
 use pp_stream_runtime::{Stage, StageContext, StreamError, WorkerPool};
 use pp_tensor::ops::{
     conv2d_range, conv_input_indices_for_range, fully_connected_range,
@@ -38,9 +47,11 @@ use pp_tensor::LinearAlgebra;
 use pp_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Permutations drawn by linear stages, awaiting inversion by the next
 /// linear stage — shared state within the model provider. Keyed by
@@ -72,9 +83,14 @@ pub(crate) fn shape_to_wire(shape: &Shape) -> Vec<u64> {
     shape.dims().iter().map(|&d| d as u64).collect()
 }
 
-/// Serializes a slice of ciphertexts (the "send" half of a worker task).
-fn cts_to_bytes(cts: &[Ciphertext]) -> Vec<Vec<u8>> {
-    cts.iter().map(Ciphertext::to_bytes).collect()
+/// The data provider's source message for request `seq`: `input` scaled
+/// to the model's integers (Sec. IV-A), not yet encrypted.
+pub(crate) fn plain_msg(scaled: &ScaledModel, seq: u64, input: &Tensor<f64>) -> PlainTensorMsg {
+    PlainTensorMsg {
+        seq,
+        shape: shape_to_wire(input.shape()),
+        values: scaled.scale_input(input).data().iter().map(|&v| v as i128).collect(),
+    }
 }
 
 /// Data provider: scales are already applied by the session; this stage
@@ -166,238 +182,271 @@ pub struct LinearStage {
     pub intra_bytes: Arc<AtomicU64>,
 }
 
+/// What the linear round needs from a [`LinearAlgebra`] back-end beyond
+/// the algebra: an owned handle that worker tasks carry (the contexts
+/// themselves borrow their key), and the bytes an element is sent to a
+/// worker as. Implemented by [`PublicKey`] for [`EncCtx`] and by
+/// [`PackedBackend`] for [`crate::packed::PackedEncCtx`].
+pub(crate) trait RoundBackend: Clone + Send + Sync + 'static {
+    type Elem: Clone + Send + Sync + 'static;
+    type Ctx<'a>: LinearAlgebra<Elem = Self::Elem, Weight = i64>;
+
+    fn ctx(&self) -> Self::Ctx<'_>;
+    /// The "send" half of a worker task.
+    fn task_bytes(elem: &Self::Elem) -> Vec<u8>;
+    /// The "receive" half; `bytes` came from [`Self::task_bytes`].
+    fn read_task_bytes(&self, bytes: &[u8]) -> Self::Elem;
+    /// Fills the positions a task was not sent; no kernel reads it.
+    fn placeholder(&self) -> Self::Elem;
+}
+
+impl RoundBackend for PublicKey {
+    type Elem = Ciphertext;
+    type Ctx<'a> = EncCtx<'a>;
+
+    fn ctx(&self) -> EncCtx<'_> {
+        EncCtx { pk: self }
+    }
+    fn task_bytes(elem: &Ciphertext) -> Vec<u8> {
+        elem.to_bytes()
+    }
+    fn read_task_bytes(&self, bytes: &[u8]) -> Ciphertext {
+        Ciphertext::from_bytes(bytes)
+    }
+    fn placeholder(&self) -> Ciphertext {
+        Ciphertext::new(pp_bigint::BigUint::zero())
+    }
+}
+
 impl LinearStage {
     /// Full linear-stage round: inverse obfuscation → linear ops →
     /// obfuscation. Fails when the preceding linear stage's permutation
-    /// is missing (a protocol-ordering violation), which stops the
-    /// pipeline cleanly instead of panicking its stage thread.
+    /// is missing (a protocol-ordering violation) or the tensor has the
+    /// wrong length, which stops the pipeline cleanly instead of
+    /// panicking its stage thread.
     pub fn execute(&self, msg: EncTensorMsg, pool: &WorkerPool) -> Result<EncTensorMsg, StreamError> {
+        let cts = msg.cts.iter().map(|b| Ciphertext::from_bytes(b)).collect();
+        let (out, shape) = self.round(&self.pk, msg.seq, cts, pool)?;
+        Ok(EncTensorMsg {
+            seq: msg.seq,
+            shape: shape_to_wire(&shape),
+            obfuscated: !self.is_last,
+            cts: out.iter().map(Ciphertext::to_bytes).collect(),
+        })
+    }
+
+    /// [`LinearStage::execute`] on a batch-packed tensor: the same round
+    /// over all slots at once, its permutations stored under the batch's
+    /// [`PACKED_PERM_BIT`] key. Errors are returned (not panicked)
+    /// wherever the input could be at fault, so the server can abort the
+    /// batch and keep the connection.
+    pub(crate) fn execute_packed(
+        &self,
+        msg: PackedTensorMsg,
+        pool: &WorkerPool,
+    ) -> Result<PackedTensorMsg, StreamError> {
+        let Some(&first) = msg.seqs.first() else {
+            return Err(StreamError::Stage("empty packed batch".into()));
+        };
+        let cts = reassemble(&self.pk, &msg)
+            .map_err(|e| StreamError::Stage(format!("packed decode: {e}")))?;
+        let backend =
+            PackedBackend { pk: self.pk.clone(), spec: msg_spec(&msg), used: msg.seqs.len() };
+        let key = first | PACKED_PERM_BIT;
+        let (mut out, shape) = self.round(&backend, key, cts, pool)?;
+
+        // Equalize weights: sparse rows (padded conv edges, zero weights)
+        // accumulate less offset than dense ones; raising everything to
+        // the max lets the wire format carry one weight for the whole
+        // tensor. Element-wise, so it commutes with the obfuscation.
+        let weight = out.iter().map(PackedCiphertext::weight).max().unwrap_or(1).max(1);
+        for c in out.iter_mut() {
+            *c = c
+                .raise_weight(&self.pk, weight)
+                .map_err(|e| StreamError::Stage(format!("packed weight equalization: {e}")))?;
+        }
+        Ok(PackedTensorMsg {
+            shape: shape_to_wire(&shape),
+            obfuscated: !self.is_last,
+            weight,
+            cts: out.iter().map(|c| c.ct.to_bytes()).collect(),
+            ..msg
+        })
+    }
+
+    /// The round itself, on either back-end: the output elements —
+    /// obfuscated unless this is the last stage — and their shape. `key`
+    /// addresses this request's (or batch's) permutations in the store.
+    fn round<B: RoundBackend>(
+        &self,
+        backend: &B,
+        key: u64,
+        mut elems: Vec<B::Elem>,
+        pool: &WorkerPool,
+    ) -> Result<(Vec<B::Elem>, Shape), StreamError> {
         assert_eq!(self.stage.role, StageRole::Linear, "misconfigured stage");
-        let seq = msg.seq;
-        let mut cts: Vec<Ciphertext> =
-            msg.cts.iter().map(|b| Ciphertext::from_bytes(b)).collect();
+        let mut shape = self.stage.input_shape.clone();
+        if elems.len() != shape.len() {
+            return Err(StreamError::Stage(format!(
+                "linear stage {} takes a {shape} tensor, got {} ciphertexts",
+                self.linear_idx,
+                elems.len()
+            )));
+        }
 
         // Inverse obfuscation (Steps 2.5 / 3.2).
         if !self.is_first {
-            let perm = self.perms.take(seq, self.linear_idx - 1).ok_or_else(|| {
+            let perm = self.perms.take(key, self.linear_idx - 1).ok_or_else(|| {
                 StreamError::Stage(format!(
-                    "linear stage {} has no stored permutation for request {seq}",
+                    "linear stage {} has no stored permutation under key {key:#x}",
                     self.linear_idx
                 ))
             })?;
-            cts = perm.invert(&cts).map_err(|e| {
+            elems = perm.invert(&elems).map_err(|e| {
                 StreamError::Stage(format!("inverse obfuscation failed: {e}"))
             })?;
         }
 
         // Homomorphic linear ops.
-        let mut shape = self.stage.input_shape.clone();
-        let mut tensor = Tensor::from_vec(shape.clone(), cts).expect("shape matches");
+        let mut tensor = Tensor::from_vec(shape.clone(), elems).expect("length checked");
         for op in &self.stage.ops {
             let out_shape =
                 crate::encapsulate::op_output_shape(op, &shape).expect("validated at build");
-            tensor = self.run_op(op, tensor, &out_shape, pool);
+            tensor = self.run_op(backend, op, tensor, &out_shape, pool);
             shape = out_shape;
         }
 
         // Obfuscation (Steps 1.4 / 2.7), skipped in the last round (3.4).
         let mut out = tensor.into_data();
-        let obfuscated = if self.is_last {
-            false
-        } else {
+        if !self.is_last {
             let mut rng =
-                StdRng::seed_from_u64(mix(self.seed ^ mix(seq) ^ self.linear_idx as u64));
+                StdRng::seed_from_u64(mix(self.seed ^ mix(key) ^ self.linear_idx as u64));
             let perm = Permutation::random(out.len(), &mut rng);
             out = perm.apply(&out).expect("lengths match");
-            self.perms.put(seq, self.linear_idx, perm);
-            true
-        };
-
-        Ok(EncTensorMsg {
-            seq,
-            shape: shape_to_wire(&shape),
-            obfuscated,
-            cts: cts_to_bytes(&out),
-        })
+            self.perms.put(key, self.linear_idx, perm);
+        }
+        Ok((out, shape))
     }
 
-    /// Executes one linear op with the configured partitioning mode.
-    fn run_op(
+    /// Executes one linear op as worker tasks (Sec. IV-D): the input is
+    /// serialized once, and each task deserializes — and counts — what
+    /// it is sent before running its range of the output.
+    fn run_op<B: RoundBackend>(
         &self,
+        backend: &B,
         op: &ScaledOp,
-        input: Tensor<Ciphertext>,
+        input: Tensor<B::Elem>,
         out_shape: &Shape,
         pool: &WorkerPool,
-    ) -> Tensor<Ciphertext> {
-        let pk = self.pk.clone();
-        let intra = Arc::clone(&self.intra_bytes);
-        match op {
-            ScaledOp::Flatten => input.flatten(),
-            ScaledOp::ScaleMul { alpha } => {
-                // Element-wise: threads receive exactly their slice.
-                let alpha = *alpha;
-                let data = Arc::new(input.into_data());
-                let n = data.len();
-                let out = pool.map_ranges(n, move |r| {
-                    let ctx = EncCtx { pk: &pk };
-                    let sub = cts_to_bytes(&data[r.clone()]);
-                    intra.fetch_add(
-                        sub.iter().map(|b| b.len() as u64).sum::<u64>(),
-                        Ordering::Relaxed,
-                    );
-                    sub.iter()
-                        .map(|b| ctx.mul(alpha, &Ciphertext::from_bytes(b)))
-                        .collect::<Vec<_>>()
-                });
-                Tensor::from_vec(out_shape.clone(), out).expect("sized output")
-            }
-            ScaledOp::Affine { scale, shift } => {
-                let scale = scale.clone();
-                let shift = shift.clone();
-                let channels = scale.len();
-                let per_channel = input.len() / channels;
-                let data = Arc::new(input.into_data());
-                let n = data.len();
-                let out = pool.map_ranges(n, move |r| {
-                    let ctx = EncCtx { pk: &pk };
-                    let sub = cts_to_bytes(&data[r.clone()]);
-                    intra.fetch_add(
-                        sub.iter().map(|b| b.len() as u64).sum::<u64>(),
-                        Ordering::Relaxed,
-                    );
-                    r.zip(sub.iter())
-                        .map(|(i, b)| {
-                            let c = i / per_channel;
-                            let x = Ciphertext::from_bytes(b);
-                            ctx.add(&ctx.mul(scale[c], &x), &ctx.constant(shift[c]))
-                        })
-                        .collect::<Vec<_>>()
-                });
-                Tensor::from_vec(out_shape.clone(), out).expect("sized output")
-            }
-            ScaledOp::Dense { weights, bias } => {
-                let weights = Arc::new(weights.clone());
-                let bias = Arc::new(bias.clone());
-                // Simulated send: serialize the whole input once.
-                let input_bytes = Arc::new(cts_to_bytes(input.data()));
-                let in_shape = input.shape().clone();
-                let out_f = out_shape.len();
-                let mode = self.mode;
-                let total_in: u64 = input_bytes.iter().map(|b| b.len() as u64).sum();
-                let out = pool.map_ranges(out_f, move |r| {
-                    let ctx = EncCtx { pk: &pk };
-                    match mode {
-                        PartitionMode::Partitioned => {
-                            // Whole input shipped once per chunk (output
-                            // partitioning), then the whole range computed.
-                            intra.fetch_add(total_in, Ordering::Relaxed);
-                            let inp = deserialize_tensor(&input_bytes, &in_shape);
-                            fully_connected_range(&ctx, &inp, &weights, &bias, r)
-                                .expect("validated shapes")
-                        }
-                        PartitionMode::None => {
-                            // Whole input shipped per output element.
-                            let mut out = Vec::with_capacity(r.len());
-                            for j in r {
-                                intra.fetch_add(total_in, Ordering::Relaxed);
-                                let inp = deserialize_tensor(&input_bytes, &in_shape);
-                                out.extend(
-                                    fully_connected_range(&ctx, &inp, &weights, &bias, j..j + 1)
-                                        .expect("validated shapes"),
-                                );
-                            }
-                            out
-                        }
-                    }
-                });
-                Tensor::from_vec(out_shape.clone(), out).expect("sized output")
-            }
-            ScaledOp::Conv2d { spec, weights, bias } => {
-                let spec = spec.clone();
-                let weights = Arc::new(weights.clone());
-                let bias = Arc::new(bias.clone());
-                let input_bytes = Arc::new(cts_to_bytes(input.data()));
-                let in_shape = input.shape().clone();
-                let n_out = out_shape.len();
-                let mode = self.mode;
-                let total_in: u64 = input_bytes.iter().map(|b| b.len() as u64).sum();
-                let out = pool.map_ranges(n_out, move |r| {
-                    let ctx = EncCtx { pk: &pk };
-                    match mode {
-                        PartitionMode::Partitioned => {
-                            // Input + output partitioning: ship only the
-                            // receptive-field sub-tensor of this range.
-                            let needed =
-                                conv_input_indices_for_range(&in_shape, &spec, r.clone())
-                                    .expect("validated shapes");
-                            let sub_bytes: u64 =
-                                needed.iter().map(|&i| input_bytes[i].len() as u64).sum();
-                            intra.fetch_add(sub_bytes, Ordering::Relaxed);
-                            let inp =
-                                deserialize_sparse(&input_bytes, &needed, &in_shape);
-                            conv2d_range(&ctx, &inp, &weights, &bias, &spec, r)
-                                .expect("validated shapes")
-                        }
-                        PartitionMode::None => {
-                            let mut out = Vec::with_capacity(r.len());
-                            for e in r {
-                                intra.fetch_add(total_in, Ordering::Relaxed);
-                                let inp = deserialize_tensor(&input_bytes, &in_shape);
-                                out.extend(
-                                    conv2d_range(&ctx, &inp, &weights, &bias, &spec, e..e + 1)
-                                        .expect("validated shapes"),
-                                );
-                            }
-                            out
-                        }
-                    }
-                });
-                Tensor::from_vec(out_shape.clone(), out).expect("sized output")
-            }
-            ScaledOp::SumPool { window, stride } => {
-                let (window, stride) = (*window, *stride);
-                let input_bytes = Arc::new(cts_to_bytes(input.data()));
-                let in_shape = input.shape().clone();
-                let n_out = out_shape.len();
-                let mode = self.mode;
-                let total_in: u64 = input_bytes.iter().map(|b| b.len() as u64).sum();
-                let out = pool.map_ranges(n_out, move |r| {
-                    let ctx = EncCtx { pk: &pk };
-                    match mode {
-                        PartitionMode::Partitioned => {
-                            let needed = pool_input_indices_for_range(
-                                &in_shape, window, stride, r.clone(),
-                            )
-                            .expect("validated shapes");
-                            let sub_bytes: u64 =
-                                needed.iter().map(|&i| input_bytes[i].len() as u64).sum();
-                            intra.fetch_add(sub_bytes, Ordering::Relaxed);
-                            let inp = deserialize_sparse(&input_bytes, &needed, &in_shape);
-                            sum_pool2d_range(&ctx, &inp, window, stride, r)
-                                .expect("validated shapes")
-                        }
-                        PartitionMode::None => {
-                            let mut out = Vec::with_capacity(r.len());
-                            for e in r {
-                                intra.fetch_add(total_in, Ordering::Relaxed);
-                                let inp = deserialize_tensor(&input_bytes, &in_shape);
-                                out.extend(
-                                    sum_pool2d_range(&ctx, &inp, window, stride, e..e + 1)
-                                        .expect("validated shapes"),
-                                );
-                            }
-                            out
-                        }
-                    }
-                });
-                Tensor::from_vec(out_shape.clone(), out).expect("sized output")
-            }
-            // Non-linear ops never reach a linear stage.
-            ScaledOp::ReLU { .. }
-            | ScaledOp::Sigmoid { .. }
-            | ScaledOp::SoftMax { .. }
-            | ScaledOp::MaxPool { .. } => unreachable!("non-linear op in linear stage"),
+    ) -> Tensor<B::Elem> {
+        if matches!(op, ScaledOp::Flatten) {
+            return input.flatten();
         }
+        let sent: Arc<Vec<Vec<u8>>> =
+            Arc::new(input.data().iter().map(B::task_bytes).collect());
+        let in_shape = input.shape().clone();
+        // Without partitioning every output element is its own task and
+        // is sent the whole input. An element-wise op reads one input per
+        // output, so there is nothing to withhold from it: in both modes
+        // a thread's chunk is one task and is sent its own slice.
+        let task_per_element = self.mode == PartitionMode::None
+            && !matches!(op, ScaledOp::ScaleMul { .. } | ScaledOp::Affine { .. });
+        let (backend, op) = (backend.clone(), Arc::new(op.clone()));
+        let intra = Arc::clone(&self.intra_bytes);
+        let out = pool.map_ranges(out_shape.len(), move |r| {
+            let ctx = backend.ctx();
+            let tasks: Vec<Range<usize>> =
+                if task_per_element { r.map(|e| e..e + 1).collect() } else { vec![r] };
+            let mut out = Vec::new();
+            for task in tasks {
+                let read =
+                    if task_per_element { None } else { inputs_read(&op, &in_shape, task.clone()) };
+                let input = receive(&backend, &sent, read.as_ref(), &in_shape, &intra);
+                out.extend(compute_range(&ctx, &op, &input, task));
+            }
+            out
+        });
+        Tensor::from_vec(out_shape.clone(), out).expect("sized output")
+    }
+}
+
+/// The input positions that outputs `range` of `op` read — what tensor
+/// partitioning sends to the task computing them; `None` is all of them
+/// (a dense layer: output partitioning only).
+fn inputs_read(op: &ScaledOp, in_shape: &Shape, range: Range<usize>) -> Option<BTreeSet<usize>> {
+    match op {
+        ScaledOp::ScaleMul { .. } | ScaledOp::Affine { .. } => Some(range.collect()),
+        ScaledOp::Conv2d { spec, .. } => {
+            Some(conv_input_indices_for_range(in_shape, spec, range).expect("validated shapes"))
+        }
+        ScaledOp::SumPool { window, stride } => Some(
+            pool_input_indices_for_range(in_shape, *window, *stride, range)
+                .expect("validated shapes"),
+        ),
+        _ => None,
+    }
+}
+
+/// Rebuilds a task's input tensor from the bytes it is sent — all of
+/// them, or only the positions in `read`, the rest being placeholders the
+/// range kernel never touches — and counts those bytes.
+fn receive<B: RoundBackend>(
+    backend: &B,
+    sent: &[Vec<u8>],
+    read: Option<&BTreeSet<usize>>,
+    shape: &Shape,
+    intra: &AtomicU64,
+) -> Tensor<B::Elem> {
+    let mut bytes = 0u64;
+    let mut get = |i: usize| {
+        bytes += sent[i].len() as u64;
+        backend.read_task_bytes(&sent[i])
+    };
+    let elems = match read {
+        None => (0..sent.len()).map(get).collect(),
+        Some(read) => {
+            let mut elems = vec![backend.placeholder(); sent.len()];
+            for &i in read {
+                elems[i] = get(i);
+            }
+            elems
+        }
+    };
+    intra.fetch_add(bytes, Ordering::Relaxed);
+    Tensor::from_vec(shape.clone(), elems).expect("shape matches")
+}
+
+/// Outputs `range` of one linear op.
+fn compute_range<L: LinearAlgebra<Weight = i64>>(
+    ctx: &L,
+    op: &ScaledOp,
+    input: &Tensor<L::Elem>,
+    range: Range<usize>,
+) -> Vec<L::Elem> {
+    match op {
+        ScaledOp::ScaleMul { alpha } => {
+            range.map(|i| ctx.mul(*alpha, &input.data()[i])).collect()
+        }
+        ScaledOp::Affine { scale, shift } => {
+            let per_channel = input.len() / scale.len();
+            range
+                .map(|i| {
+                    let c = i / per_channel;
+                    ctx.add(&ctx.mul(scale[c], &input.data()[i]), &ctx.constant(shift[c]))
+                })
+                .collect()
+        }
+        ScaledOp::Dense { weights, bias } => {
+            fully_connected_range(ctx, input, weights, bias, range).expect("validated shapes")
+        }
+        ScaledOp::Conv2d { spec, weights, bias } => {
+            conv2d_range(ctx, input, weights, bias, spec, range).expect("validated shapes")
+        }
+        ScaledOp::SumPool { window, stride } => {
+            sum_pool2d_range(ctx, input, *window, *stride, range).expect("validated shapes")
+        }
+        // Flatten moves no data; non-linear ops never reach a linear stage.
+        other => unreachable!("op {other:?} in a linear stage's worker task"),
     }
 }
 
@@ -415,28 +464,6 @@ impl Stage for LinearStage {
         cx.record_serialized_bytes(after.saturating_sub(before));
         Ok(out)
     }
-}
-
-/// Rebuilds a full ciphertext tensor from serialized bytes (the "receive"
-/// half of a worker task).
-fn deserialize_tensor(bytes: &[Vec<u8>], shape: &Shape) -> Tensor<Ciphertext> {
-    let cts: Vec<Ciphertext> = bytes.iter().map(|b| Ciphertext::from_bytes(b)).collect();
-    Tensor::from_vec(shape.clone(), cts).expect("shape matches")
-}
-
-/// Rebuilds a sparse tensor: only `indices` are real; the rest are cheap
-/// placeholders that the range kernel never reads.
-fn deserialize_sparse(
-    bytes: &[Vec<u8>],
-    indices: &std::collections::BTreeSet<usize>,
-    shape: &Shape,
-) -> Tensor<Ciphertext> {
-    let placeholder = Ciphertext::new(pp_bigint::BigUint::zero());
-    let mut cts = vec![placeholder; bytes.len()];
-    for &i in indices {
-        cts[i] = Ciphertext::from_bytes(&bytes[i]);
-    }
-    Tensor::from_vec(shape.clone(), cts).expect("shape matches")
 }
 
 /// Data provider: decrypt, apply non-linear ops (on permuted values),
@@ -589,11 +616,179 @@ impl Stage for FinalNonLinearStage {
     }
 }
 
+/// The data provider's input stage for a deployment seeded with `seed`.
+pub(crate) fn encrypt_exec(
+    pk: PublicKey,
+    seed: u64,
+    rand_pool: Option<Arc<Mutex<RandomnessPool>>>,
+) -> EncryptStage {
+    EncryptStage { pk, seed: seed ^ 0x0E2C, rand_pool }
+}
+
+/// The model provider's executors for a deployment seeded with `seed`:
+/// one per linear stage of `stages`, in round order, sharing one fresh
+/// permutation store.
+pub(crate) fn linear_execs(
+    stages: &[MergedStage],
+    pk: &PublicKey,
+    seed: u64,
+    mode: PartitionMode,
+) -> Vec<LinearStage> {
+    let perms = Arc::new(PermStore::default());
+    let n_linear = stages.iter().filter(|s| s.role == StageRole::Linear).count();
+    stages
+        .iter()
+        .enumerate()
+        .filter(|(_, stage)| stage.role == StageRole::Linear)
+        .enumerate()
+        .map(|(linear_idx, (i, stage))| LinearStage {
+            pk: pk.clone(),
+            stage: stage.clone(),
+            linear_idx,
+            is_first: linear_idx == 0,
+            is_last: linear_idx + 1 == n_linear,
+            perms: Arc::clone(&perms),
+            mode,
+            seed: seed ^ 0x11AE ^ (i as u64) << 8,
+            intra_bytes: Arc::new(AtomicU64::new(0)),
+        })
+        .collect()
+}
+
+/// The data provider's executors for the same deployment: one per
+/// non-linear stage of `stages`, in order.
+pub(crate) fn nonlinear_execs(
+    stages: &[MergedStage],
+    keypair: &Keypair,
+    factor: i64,
+    seed: u64,
+) -> Vec<NonLinearStage> {
+    stages
+        .iter()
+        .enumerate()
+        .filter(|(_, stage)| stage.role == StageRole::NonLinear)
+        .map(|(i, stage)| NonLinearStage {
+            keypair: keypair.clone(),
+            stage: stage.clone(),
+            factor,
+            is_last: i + 1 == stages.len(),
+            seed: seed ^ 0x2020 ^ (i as u64) << 8,
+        })
+        .collect()
+}
+
+pub(crate) enum StageExec {
+    Linear(Arc<LinearStage>),
+    NonLinear(Arc<NonLinearStage>),
+}
+
+/// Both parties' executors in one process: the encrypt stage, then one
+/// executor per merged stage in pipeline order.
+pub(crate) struct StageChain {
+    pub(crate) encrypt: Arc<EncryptStage>,
+    pub(crate) stages: Vec<StageExec>,
+}
+
+/// What a stage of a [`StageChain::walk`] sent on.
+pub(crate) enum StageOut<'a> {
+    Enc(&'a EncTensorMsg),
+    Plain(&'a PlainTensorMsg),
+}
+
+impl StageOut<'_> {
+    /// Its size as a wire frame.
+    pub(crate) fn frame_len(&self) -> u64 {
+        match self {
+            StageOut::Enc(msg) => to_frame(*msg).len() as u64,
+            StageOut::Plain(msg) => to_frame(*msg).len() as u64,
+        }
+    }
+}
+
+impl StageChain {
+    pub(crate) fn new(
+        stages: &[MergedStage],
+        keypair: &Keypair,
+        factor: i64,
+        seed: u64,
+        mode: PartitionMode,
+        rand_pool: Option<Arc<Mutex<RandomnessPool>>>,
+    ) -> Self {
+        let mut linear = linear_execs(stages, &keypair.public(), seed, mode).into_iter();
+        let mut nonlinear = nonlinear_execs(stages, keypair, factor, seed).into_iter();
+        let stages = stages
+            .iter()
+            .map(|stage| match stage.role {
+                StageRole::Linear => StageExec::Linear(Arc::new(
+                    linear.next().expect("one executor per linear stage"),
+                )),
+                StageRole::NonLinear => StageExec::NonLinear(Arc::new(
+                    nonlinear.next().expect("one executor per non-linear stage"),
+                )),
+            })
+            .collect();
+        StageChain { encrypt: Arc::new(encrypt_exec(keypair.public(), seed, rand_pool)), stages }
+    }
+
+    /// Total bytes dispatched to worker threads inside linear stages
+    /// (Sec. IV-D's intra-stage communication), summed over the
+    /// per-stage counters.
+    pub(crate) fn intra_total(&self) -> u64 {
+        self.stages
+            .iter()
+            .map(|s| match s {
+                StageExec::Linear(l) => l.intra_bytes.load(Ordering::Relaxed),
+                StageExec::NonLinear(_) => 0,
+            })
+            .sum()
+    }
+
+    /// One item through the chain, stage after stage on `pool` — the
+    /// protocol without the pipeline (offline profiling, CipherBase).
+    /// `visit` sees each pipeline stage as it finishes, the encrypt
+    /// stage first: its wall time, the bytes it dispatched to workers,
+    /// and what it sent on.
+    pub(crate) fn walk(
+        &self,
+        plain: PlainTensorMsg,
+        pool: &WorkerPool,
+        mut visit: impl FnMut(Duration, u64, StageOut<'_>),
+    ) -> Result<PlainTensorMsg, StreamError> {
+        let t0 = Instant::now();
+        let mut msg = self.encrypt.encrypt(plain, pool);
+        visit(t0.elapsed(), 0, StageOut::Enc(&msg));
+        for exec in &self.stages {
+            let t0 = Instant::now();
+            match exec {
+                StageExec::Linear(l) => {
+                    let before = l.intra_bytes.load(Ordering::Relaxed);
+                    msg = l.execute(msg, pool)?;
+                    let wall = t0.elapsed();
+                    let dispatched = l.intra_bytes.load(Ordering::Relaxed) - before;
+                    visit(wall, dispatched, StageOut::Enc(&msg));
+                }
+                StageExec::NonLinear(nl) if nl.is_last => {
+                    let out = nl.execute_final(msg, pool)?;
+                    visit(t0.elapsed(), 0, StageOut::Plain(&out));
+                    return Ok(out);
+                }
+                StageExec::NonLinear(nl) => {
+                    msg = nl.execute(msg, pool)?;
+                    visit(t0.elapsed(), 0, StageOut::Enc(&msg));
+                }
+            }
+        }
+        Err(StreamError::Stage("pipeline must end with a final non-linear stage".into()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encapsulate::encapsulate;
+    use crate::packed::{pack_plain_batch, required_budget};
     use pp_nn::{zoo, ScaledModel};
+    use pp_paillier::packing::PackingSpec;
     use pp_stream_runtime::WorkerPool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -611,58 +806,28 @@ mod tests {
         pool: &WorkerPool,
     ) -> Vec<i128> {
         let stages = encapsulate(scaled).unwrap();
-        let perms = Arc::new(PermStore::default());
-        let intra = Arc::new(AtomicU64::new(0));
-        let n_linear = stages.iter().filter(|s| s.role == StageRole::Linear).count();
+        let chain = StageChain::new(&stages, kp, scaled.factor(), 7, mode, None);
+        chain.walk(plain_msg(scaled, 0, input), pool, |_, _, _| {}).unwrap().values
+    }
 
-        let enc = EncryptStage { pk: kp.public(), seed: 7, rand_pool: None };
-        let scaled_in = scaled.scale_input(input);
-        let mut msg = enc.encrypt(
-            PlainTensorMsg {
-                seq: 0,
-                shape: shape_to_wire(input.shape()),
-                values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-            },
-            pool,
-        );
-
-        let mut linear_idx = 0usize;
-        let mut final_values = None;
-        for (i, stage) in stages.iter().enumerate() {
-            match stage.role {
-                StageRole::Linear => {
-                    let exec = LinearStage {
-                        pk: kp.public(),
-                        stage: stage.clone(),
-                        linear_idx,
-                        is_first: linear_idx == 0,
-                        is_last: linear_idx == n_linear - 1,
-                        perms: Arc::clone(&perms),
-                        mode,
-                        seed: 11,
-                        intra_bytes: Arc::clone(&intra),
-                    };
-                    msg = exec.execute(msg, pool).unwrap();
-                    linear_idx += 1;
-                }
-                StageRole::NonLinear => {
-                    let is_last = i == stages.len() - 1;
-                    let exec = NonLinearStage {
-                        keypair: kp.clone(),
-                        stage: stage.clone(),
-                        factor: scaled.factor(),
-                        is_last,
-                        seed: 13,
-                    };
-                    if is_last {
-                        final_values = Some(exec.execute_final(msg.clone(), pool).unwrap().values);
-                    } else {
-                        msg = exec.execute(msg, pool).unwrap();
-                    }
-                }
-            }
-        }
-        final_values.expect("model ends with non-linear stage")
+    /// A weight-1 packed batch of `members` inputs to `stages[0]`, laid
+    /// out for the op budget `stages` need, under a key wide enough for it.
+    fn packed_batch(stages: &[MergedStage], members: usize) -> (Keypair, PackedTensorMsg) {
+        let kp = Keypair::generate(256, &mut StdRng::seed_from_u64(40));
+        let spec =
+            PackingSpec::for_key(&kp.public(), 40).unwrap().with_budget(required_budget(stages));
+        spec.check().unwrap();
+        let shape = &stages[0].input_shape;
+        let plains: Vec<PlainTensorMsg> = (0..members)
+            .map(|j| PlainTensorMsg {
+                seq: j as u64,
+                shape: shape_to_wire(shape),
+                values: (0..shape.len()).map(|i| ((i * 7 + j) % 9) as i128 - 4).collect(),
+            })
+            .collect();
+        let mut factors = RandomnessPool::new(kp.public());
+        let msg = pack_plain_batch(spec, &plains, &mut factors, 3).unwrap();
+        (kp, msg)
     }
 
     #[test]
@@ -696,6 +861,17 @@ mod tests {
         let a = run_stages(&kp, &scaled, &input, PartitionMode::Partitioned, &pool);
         let b = run_stages(&kp, &scaled, &input, PartitionMode::None, &pool);
         assert_eq!(a, b);
+
+        // The packed back-end goes through the same dispatch: same reply.
+        let stages = encapsulate(&scaled).unwrap();
+        let (kp, msg) = packed_batch(&stages, 3);
+        let reply = |mode| {
+            linear_execs(&stages, &kp.public(), 7, mode)[0]
+                .execute_packed(msg.clone(), &pool)
+                .unwrap()
+        };
+        let (a, b) = (reply(PartitionMode::Partitioned), reply(PartitionMode::None));
+        assert_eq!((a.cts, a.weight), (b.cts, b.weight));
     }
 
     #[test]
@@ -706,42 +882,39 @@ mod tests {
         let model = zoo::small_convnet("c", (1, 6, 6), 2, 3, &mut rng).unwrap();
         let scaled = ScaledModel::from_model(&model, 100);
         let stages = encapsulate(&scaled).unwrap();
-        let conv_stage = stages[0].clone();
-        let input_len = conv_stage.input_shape.len();
+        let conv_shape = &stages[0].input_shape;
 
         let mut rng2 = StdRng::seed_from_u64(7);
-        let cts: Vec<Vec<u8>> = (0..input_len)
-            .map(|i| kp.public().encrypt_i64(i as i64, &mut rng2).to_bytes())
-            .collect();
         let msg = EncTensorMsg {
             seq: 0,
-            shape: shape_to_wire(&conv_stage.input_shape),
+            shape: shape_to_wire(conv_shape),
             obfuscated: false,
-            cts,
+            cts: (0..conv_shape.len())
+                .map(|i| kp.public().encrypt_i64(i as i64, &mut rng2).to_bytes())
+                .collect(),
         };
+        let (packed_kp, packed_msg) = packed_batch(&stages, 3);
 
-        let run = |mode: PartitionMode| {
-            let intra = Arc::new(AtomicU64::new(0));
-            let exec = LinearStage {
-                pk: kp.public(),
-                stage: conv_stage.clone(),
-                linear_idx: 0,
-                is_first: true,
-                is_last: false,
-                perms: Arc::new(PermStore::default()),
-                mode,
-                seed: 1,
-                intra_bytes: Arc::clone(&intra),
-            };
-            let _ = exec.execute(msg.clone(), &pool).unwrap();
-            intra.load(Ordering::Relaxed)
+        // Bytes the conv stage dispatches for one message, per back-end.
+        let unpacked = |mode| {
+            let exec = linear_execs(&stages, &kp.public(), 1, mode).remove(0);
+            exec.execute(msg.clone(), &pool).unwrap();
+            exec.intra_bytes.load(Ordering::Relaxed)
         };
-        let with = run(PartitionMode::Partitioned);
-        let without = run(PartitionMode::None);
-        assert!(
-            with * 2 < without,
-            "partitioning should cut thread-input bytes: with={with} without={without}"
-        );
+        let packed = |mode| {
+            let exec = linear_execs(&stages, &packed_kp.public(), 1, mode).remove(0);
+            exec.execute_packed(packed_msg.clone(), &pool).unwrap();
+            exec.intra_bytes.load(Ordering::Relaxed)
+        };
+        for (with, without) in [
+            (unpacked(PartitionMode::Partitioned), unpacked(PartitionMode::None)),
+            (packed(PartitionMode::Partitioned), packed(PartitionMode::None)),
+        ] {
+            assert!(
+                with * 2 < without,
+                "partitioning should cut thread-input bytes: with={with} without={without}"
+            );
+        }
     }
 
     #[test]
@@ -765,57 +938,21 @@ mod tests {
         let model = zoo::mlp("m", &[3, 4, 2], &mut rng).unwrap();
         let scaled = ScaledModel::from_model(&model, 10);
         let stages = encapsulate(&scaled).unwrap();
-        let perms = Arc::new(PermStore::default());
-        let intra = Arc::new(AtomicU64::new(0));
+        let linear = linear_execs(&stages, &kp.public(), 2, PartitionMode::Partitioned);
+        let nonlinear = nonlinear_execs(&stages, &kp, scaled.factor(), 2);
 
-        let enc = EncryptStage { pk: kp.public(), seed: 1, rand_pool: None };
-        let scaled_in = scaled.scale_input(&pp_tensor::Tensor::from_flat(vec![0.1, 0.2, 0.3]));
-        let msg0 = enc.encrypt(
-            PlainTensorMsg {
-                seq: 0,
-                shape: vec![3],
-                values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-            },
-            &pool,
-        );
+        let enc = encrypt_exec(kp.public(), 2, None);
+        let input = pp_tensor::Tensor::from_flat(vec![0.1, 0.2, 0.3]);
+        let msg0 = enc.encrypt(plain_msg(&scaled, 0, &input), &pool);
         assert!(!msg0.obfuscated);
 
-        let first = LinearStage {
-            pk: kp.public(),
-            stage: stages[0].clone(),
-            linear_idx: 0,
-            is_first: true,
-            is_last: false,
-            perms: Arc::clone(&perms),
-            mode: PartitionMode::Partitioned,
-            seed: 2,
-            intra_bytes: Arc::clone(&intra),
-        };
-        let msg1 = first.execute(msg0, &pool).unwrap();
+        let msg1 = linear[0].execute(msg0, &pool).unwrap();
         assert!(msg1.obfuscated, "intermediate round must be obfuscated (Step 1.4)");
 
-        let nl = NonLinearStage {
-            keypair: kp.clone(),
-            stage: stages[1].clone(),
-            factor: scaled.factor(),
-            is_last: false,
-            seed: 3,
-        };
-        let msg2 = nl.execute(msg1, &pool).unwrap();
+        let msg2 = nonlinear[0].execute(msg1, &pool).unwrap();
         assert!(msg2.obfuscated, "re-encrypted tensor keeps permuted order");
 
-        let last = LinearStage {
-            pk: kp.public(),
-            stage: stages[2].clone(),
-            linear_idx: 1,
-            is_first: false,
-            is_last: true,
-            perms,
-            mode: PartitionMode::Partitioned,
-            seed: 4,
-            intra_bytes: intra,
-        };
-        let msg3 = last.execute(msg2, &pool).unwrap();
+        let msg3 = linear[1].execute(msg2, &pool).unwrap();
         assert!(!msg3.obfuscated, "last round sends without obfuscation (Step 3.4)");
     }
 
@@ -930,6 +1067,40 @@ mod tests {
             matches!(&err, StreamError::Stage(s) if s.contains("permutation")),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn wrong_tensor_length_is_an_error_not_a_panic() {
+        // A well-formed frame whose ciphertext count is not the stage's:
+        // malformed input, so an error on either back-end — no panic for
+        // `catch_unwind` to quarantine, and no permutation left behind.
+        let (_, pool) = setup(20);
+        let stages = [MergedStage {
+            role: StageRole::Linear,
+            ops: vec![ScaledOp::ScaleMul { alpha: 2 }],
+            input_shape: Shape::vector(4),
+            output_shape: Shape::vector(4),
+        }];
+        for members in [3usize, 5] {
+            let wrong = MergedStage { input_shape: Shape::vector(members), ..stages[0].clone() };
+            let (kp, packed) = packed_batch(std::slice::from_ref(&wrong), 2);
+            let exec = LinearStage {
+                is_last: false,
+                ..linear_execs(&stages, &kp.public(), 5, PartitionMode::Partitioned).remove(0)
+            };
+            let unpacked = EncTensorMsg {
+                seq: 9,
+                shape: packed.shape.clone(),
+                obfuscated: false,
+                cts: packed.cts.clone(),
+            };
+            let err = exec.execute(unpacked, &pool).unwrap_err();
+            assert!(matches!(&err, StreamError::Stage(s) if s.contains("ciphertexts")), "{err}");
+            let err = exec.execute_packed(packed, &pool).unwrap_err();
+            assert!(matches!(&err, StreamError::Stage(s) if s.contains("ciphertexts")), "{err}");
+            assert!(exec.perms.take(9, 0).is_none());
+            assert!(exec.perms.take(PACKED_PERM_BIT, 0).is_none());
+        }
     }
 
     #[test]

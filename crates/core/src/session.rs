@@ -5,22 +5,19 @@
 use crate::encapsulate::{encapsulate_with, MergedStage, StageRole};
 use crate::messages::PlainTensorMsg;
 use crate::plan::{AllocationPlan, PlanSource};
-use crate::protocol::{
-    EncryptStage, FinalNonLinearStage, LinearStage, NonLinearStage, PartitionMode, PermStore,
-};
+use crate::protocol::{plain_msg, FinalNonLinearStage, PartitionMode, StageChain, StageExec};
+use crate::simulate::StageProfile;
 use crate::CoreError;
 use pp_allocate::{even_allocation, solve, Allocation, LayerLoad, Role, ServerSpec, SolveConfig};
 use pp_nn::scaling::ScaledModel;
 use parking_lot::Mutex;
-use pp_paillier::packing::PackingSpec;
 use pp_paillier::{Keypair, RandomnessPool};
 use pp_stream_runtime::{PipelineBuilder, StageReport, WorkerPool};
 use pp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Session configuration.
 #[derive(Clone, Debug)]
@@ -105,14 +102,9 @@ pub struct RunReport {
     /// Bytes shipped to worker threads inside linear stages
     /// (Sec. IV-D's communication).
     pub intra_stage_bytes: u64,
-    /// Stage names in pipeline order.
-    pub stage_names: Vec<String>,
-    /// Per-stage busy time.
-    pub stage_busy: Vec<Duration>,
-    /// Threads allocated per stage.
-    pub stage_threads: Vec<usize>,
-    /// Per-stage runtime metrics (items in/out, serialized bytes,
-    /// compute time, queue wait, errors), in pipeline order.
+    /// Per-stage runtime metrics (name, threads, items in/out,
+    /// serialized bytes, compute time, queue wait, errors), in pipeline
+    /// order; empty for networked runs, whose linear stages are remote.
     pub stages: Vec<StageReport>,
     /// Socket-level statistics when the run crossed real sockets
     /// ([`crate::net::NetworkedSession`]); `None` for in-process runs.
@@ -181,66 +173,15 @@ impl PpStream {
     }
 
     /// Offline profiling (Sec. IV-C): run sample inputs through the
-    /// stages sequentially and average each stage's time. Pool sizes
-    /// come from [`AllocationPlan::profiling_baseline`] — one worker per
-    /// stage, because the simulate model scales single-thread times.
+    /// stages sequentially and average each stage's time.
     fn profile_stages(&self) -> Result<Vec<f64>, CoreError> {
-        let plan = AllocationPlan::profiling_baseline(self.stages.len() + 1);
-        let pools: Vec<WorkerPool> =
-            (0..plan.n_stages()).map(|i| WorkerPool::new(plan.threads_for(i))).collect();
         let samples = self.config.profile_samples.max(1);
-        // 1 pipeline stage per merged stage, plus the encrypt stage.
         let mut times = vec![0.0f64; self.stages.len() + 1];
-        let input_shape = self.scaled.input_shape().clone();
-
         for s in 0..samples {
-            // Deterministic pseudo-random sample input in [-1, 1].
-            let sample: Vec<f64> = (0..input_shape.len())
-                .map(|i| (((i * 31 + s * 17) % 200) as f64 / 100.0) - 1.0)
-                .collect();
-            let input = Tensor::from_vec(input_shape.clone(), sample)
-                .map_err(|e| CoreError::Model(e.to_string()))?;
-            let execs = self.build_execs(PartitionMode::Partitioned);
-
-            let scaled_in = self.scaled.scale_input(&input);
-            let mut plain = PlainTensorMsg {
-                seq: s as u64,
-                shape: input_shape.dims().iter().map(|&d| d as u64).collect(),
-                values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-            };
-
-            let t0 = Instant::now();
-            let mut msg = execs.encrypt.encrypt(plain.clone(), &pools[0]);
-            times[0] += t0.elapsed().as_secs_f64();
-
-            for (i, exec) in execs.stages.iter().enumerate() {
-                let pool = &pools[i + 1];
-                let t0 = Instant::now();
-                match exec {
-                    StageExec::Linear(l) => {
-                        msg = l
-                            .execute(msg, pool)
-                            .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                    }
-                    StageExec::NonLinear(nl) => {
-                        if nl.is_last {
-                            plain = nl
-                                .execute_final(msg.clone(), pool)
-                                .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                        } else {
-                            msg = nl
-                                .execute(msg, pool)
-                                .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                        }
-                    }
-                }
-                times[i + 1] += t0.elapsed().as_secs_f64();
+            let walk = self.profile_walk(s, PartitionMode::Partitioned)?;
+            for (t, stage) in times.iter_mut().zip(&walk) {
+                *t += stage.wall_1thread / samples as f64;
             }
-            let _ = plain;
-        }
-        for t in &mut times {
-            // Guard against sub-resolution zero times.
-            *t = (*t / samples as f64).max(1e-9);
         }
         Ok(times)
     }
@@ -248,75 +189,37 @@ impl PpStream {
     /// Detailed single-thread profiling for the deployment simulator
     /// (`crate::simulate`): per-stage wall time, dispatch bytes, and
     /// outgoing link bytes, measured in the given partition mode.
-    pub fn profile_deployment(
+    pub fn profile_deployment(&self, mode: PartitionMode) -> Result<Vec<StageProfile>, CoreError> {
+        self.profile_walk(0, mode)
+    }
+
+    /// Sample input `sample` (deterministic pseudo-random in [-1, 1])
+    /// through a fresh executor chain on one worker — the simulate model
+    /// scales single-thread times. One profile per pipeline stage, the
+    /// encrypt stage first.
+    fn profile_walk(
         &self,
+        sample: usize,
         mode: PartitionMode,
-    ) -> Result<Vec<crate::simulate::StageProfile>, CoreError> {
-        use crate::simulate::StageProfile;
-        use pp_stream_runtime::wire::to_frame;
-
-        let plan = AllocationPlan::profiling_baseline(self.stages.len() + 1);
-        let pools: Vec<WorkerPool> =
-            (0..plan.n_stages()).map(|i| WorkerPool::new(plan.threads_for(i))).collect();
-        let execs = self.build_execs(mode);
+    ) -> Result<Vec<StageProfile>, CoreError> {
         let input_shape = self.scaled.input_shape().clone();
-        let sample: Vec<f64> = (0..input_shape.len())
-            .map(|i| (((i * 31) % 200) as f64 / 100.0) - 1.0)
+        let values: Vec<f64> = (0..input_shape.len())
+            .map(|i| (((i * 31 + sample * 17) % 200) as f64 / 100.0) - 1.0)
             .collect();
-        let input = Tensor::from_vec(input_shape.clone(), sample)
+        let input = Tensor::from_vec(input_shape, values)
             .map_err(|e| CoreError::Model(e.to_string()))?;
-        let scaled_in = self.scaled.scale_input(&input);
-        let plain = PlainTensorMsg {
-            seq: 0,
-            shape: input_shape.dims().iter().map(|&d| d as u64).collect(),
-            values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-        };
-
         let mut profiles = Vec::with_capacity(self.stages.len() + 1);
-        let t0 = Instant::now();
-        let mut msg = execs.encrypt.encrypt(plain, &pools[0]);
-        profiles.push(StageProfile {
-            wall_1thread: t0.elapsed().as_secs_f64().max(1e-9),
-            dispatch_bytes_1thread: 0, // element-wise encryption
-            link_bytes: to_frame(&msg).len() as u64,
-        });
-
-        for (i, exec) in execs.stages.iter().enumerate() {
-            let pool = &pools[i + 1];
-            let t0 = Instant::now();
-            let link_bytes;
-            let dispatch_bytes;
-            match exec {
-                StageExec::Linear(l) => {
-                    let before = l.intra_bytes.load(Ordering::Relaxed);
-                    msg = l
-                        .execute(msg, pool)
-                        .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                    dispatch_bytes = l.intra_bytes.load(Ordering::Relaxed) - before;
-                    link_bytes = to_frame(&msg).len() as u64;
-                }
-                StageExec::NonLinear(nl) => {
-                    dispatch_bytes = 0; // element-wise decrypt + activation
-                    if nl.is_last {
-                        let out = nl
-                            .execute_final(msg.clone(), pool)
-                            .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                        link_bytes = to_frame(&out).len() as u64;
-                    } else {
-                        msg = nl
-                            .execute(msg, pool)
-                            .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                        link_bytes = to_frame(&msg).len() as u64;
-                    }
-                }
-            }
-            let wall = t0.elapsed().as_secs_f64().max(1e-9);
-            profiles.push(StageProfile {
-                wall_1thread: wall,
-                dispatch_bytes_1thread: dispatch_bytes,
-                link_bytes,
-            });
-        }
+        let plain = plain_msg(&self.scaled, sample as u64, &input);
+        self.chain(mode, None)
+            .walk(plain, &WorkerPool::new(1), |wall, dispatched, out| {
+                profiles.push(StageProfile {
+                    // Guard against sub-resolution zero times.
+                    wall_1thread: wall.as_secs_f64().max(1e-9),
+                    dispatch_bytes_1thread: dispatched,
+                    link_bytes: out.frame_len(),
+                })
+            })
+            .map_err(|e| CoreError::Runtime(e.to_string()))?;
         Ok(profiles)
     }
 
@@ -435,55 +338,14 @@ impl PpStream {
         names
     }
 
-    fn build_execs(&self, mode: PartitionMode) -> Execs {
-        self.build_execs_with(mode, None)
-    }
-
-    fn build_execs_with(
+    /// Fresh executors (and permutation store) for this session's model.
+    fn chain(
         &self,
         mode: PartitionMode,
         rand_pool: Option<Arc<Mutex<RandomnessPool>>>,
-    ) -> Execs {
-        let perms = Arc::new(PermStore::default());
-        let n_linear = self.stages.iter().filter(|s| s.role == StageRole::Linear).count();
-        let mut linear_idx = 0usize;
-        let stages: Vec<StageExec> = self
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| match stage.role {
-                StageRole::Linear => {
-                    let exec = LinearStage {
-                        pk: self.keypair.public(),
-                        stage: stage.clone(),
-                        linear_idx,
-                        is_first: linear_idx == 0,
-                        is_last: linear_idx == n_linear - 1,
-                        perms: Arc::clone(&perms),
-                        mode,
-                        seed: self.config.seed ^ 0x11AE ^ (i as u64) << 8,
-                        intra_bytes: Arc::new(AtomicU64::new(0)),
-                    };
-                    linear_idx += 1;
-                    StageExec::Linear(Arc::new(exec))
-                }
-                StageRole::NonLinear => StageExec::NonLinear(Arc::new(NonLinearStage {
-                    keypair: self.keypair.clone(),
-                    stage: stage.clone(),
-                    factor: self.scaled.factor(),
-                    is_last: i == self.stages.len() - 1,
-                    seed: self.config.seed ^ 0x2020 ^ (i as u64) << 8,
-                })),
-            })
-            .collect();
-        Execs {
-            encrypt: Arc::new(EncryptStage {
-                pk: self.keypair.public(),
-                seed: self.config.seed ^ 0x0E2C,
-                rand_pool,
-            }),
-            stages,
-        }
+    ) -> StageChain {
+        let (factor, seed) = (self.scaled.factor(), self.config.seed);
+        StageChain::new(&self.stages, &self.keypair, factor, seed, mode, rand_pool)
     }
 
     /// Streams a batch of inference requests through the pipeline,
@@ -514,7 +376,7 @@ impl PpStream {
             let workers = WorkerPool::new(self.plan.threads_for(0));
             rand_pool.lock().refill_parallel(need, &workers, self.config.seed ^ 0x5EED);
         }
-        let execs = self.build_execs_with(mode, Some(Arc::clone(&rand_pool)));
+        let execs = self.chain(mode, Some(Arc::clone(&rand_pool)));
 
         // Assemble the typed pipeline: the encrypt stage followed by one
         // protocol stage per merged stage. `.link()` marks the hops that
@@ -554,19 +416,10 @@ impl PpStream {
         let pipeline =
             builder.stage(names[n].clone(), self.plan.threads_for(n), last).build()?;
 
-        // Source messages: scaled plaintext tensors (inside the data
-        // provider, so no serialization before the encrypt stage).
         let msgs: Vec<PlainTensorMsg> = inputs
             .iter()
             .enumerate()
-            .map(|(seq, input)| {
-                let scaled_in = self.scaled.scale_input(input);
-                PlainTensorMsg {
-                    seq: seq as u64,
-                    shape: input.shape().dims().iter().map(|&d| d as u64).collect(),
-                    values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-                }
-            })
+            .map(|(seq, input)| plain_msg(&self.scaled, seq as u64, input))
             .collect();
 
         let (out_msgs, stats) = pipeline.process_stream(msgs)?;
@@ -596,213 +449,11 @@ impl PpStream {
             makespan: stats.makespan,
             link_bytes: stats.link_bytes,
             intra_stage_bytes: execs.intra_total(),
-            stage_names: names,
-            stage_busy: stats.stage_busy,
-            stage_threads: self.plan.threads().to_vec(),
             stages: stats.stages,
             transport: None,
             pool_misses: rand_pool.lock().misses(),
         };
         Ok((outputs, report))
-    }
-
-    /// Streams a batch through the pipeline with **batch-packed
-    /// ciphertexts** (DESIGN.md §8): chunks of up to `slots` requests
-    /// ride the slots of shared ciphertexts, so each homomorphic linear
-    /// pass serves the whole chunk at once. The op budget is sized from
-    /// the model via [`crate::packed::required_budget`]; an infeasible
-    /// layout (slot too narrow for the budget) is an error. A chunk that
-    /// fails mid-flight (e.g. an activation outgrowing the slot's value
-    /// bound) falls back to the sequential unpacked executors, so the
-    /// returned outputs are always complete — and always bit-identical
-    /// to [`PpStream::infer_stream`]'s.
-    pub fn infer_stream_packed(
-        &self,
-        inputs: &[Tensor<f64>],
-        slot_bits: usize,
-    ) -> Result<(Vec<Tensor<i64>>, RunReport), CoreError> {
-        if inputs.is_empty() {
-            return Err(CoreError::Runtime("no inputs".into()));
-        }
-        let budget = crate::packed::required_budget(&self.stages);
-        let spec = PackingSpec::for_key(&self.keypair.public(), slot_bits)
-            .map(|s| s.with_budget(budget))
-            .and_then(|s| s.check().map(|()| s))
-            .map_err(|e| CoreError::Model(format!("packing infeasible: {e}")))?;
-        let mode = if self.config.tensor_partition {
-            PartitionMode::Partitioned
-        } else {
-            PartitionMode::None
-        };
-        // One factor per tensor *position* per chunk — the whole point:
-        // encryption cost no longer scales with the batch size.
-        let pk = self.keypair.public();
-        let base = pp_paillier::shared_refill_cache().get(&pk);
-        let rand_pool = Arc::new(Mutex::new(RandomnessPool::with_base(pk, base)));
-        {
-            let need = inputs.len().div_ceil(spec.slots) * self.scaled.input_shape().len();
-            let workers = WorkerPool::new(self.plan.threads_for(0));
-            rand_pool.lock().refill_parallel(need, &workers, self.config.seed ^ 0x5EED);
-        }
-        let execs = self.build_execs_with(mode, Some(Arc::clone(&rand_pool)));
-        let pools: Vec<WorkerPool> =
-            (0..self.plan.n_stages()).map(|i| WorkerPool::new(self.plan.threads_for(i))).collect();
-        let names = self.stage_names();
-        let mut stage_busy = vec![Duration::ZERO; self.stages.len() + 1];
-        let mut latencies = Vec::with_capacity(inputs.len());
-        let mut outputs: Vec<Option<Tensor<i64>>> = (0..inputs.len()).map(|_| None).collect();
-        let t_start = Instant::now();
-
-        for (c, chunk) in inputs.chunks(spec.slots).enumerate() {
-            let base = c * spec.slots;
-            let plains: Vec<PlainTensorMsg> = chunk
-                .iter()
-                .enumerate()
-                .map(|(j, input)| {
-                    let scaled_in = self.scaled.scale_input(input);
-                    PlainTensorMsg {
-                        seq: (base + j) as u64,
-                        shape: input.shape().dims().iter().map(|&d| d as u64).collect(),
-                        values: scaled_in.data().iter().map(|&v| v as i128).collect(),
-                    }
-                })
-                .collect();
-            let t0 = Instant::now();
-            match self.run_packed_chunk(&execs, &pools, &plains, spec, &rand_pool, &mut stage_busy)
-            {
-                Ok(outs) => {
-                    let dt = t0.elapsed();
-                    for out in outs {
-                        let idx = out.seq as usize;
-                        outputs[idx] = Some(plain_to_tensor(&out)?);
-                        latencies.push(dt);
-                    }
-                }
-                Err(_) => {
-                    // Packed chunk rejected (slot overflow, budget): run
-                    // its members through the unpacked executors instead.
-                    for plain in plains {
-                        let t0 = Instant::now();
-                        let idx = plain.seq as usize;
-                        let out =
-                            self.run_unpacked_item(&execs, &pools, plain, &mut stage_busy)?;
-                        outputs[idx] = Some(plain_to_tensor(&out)?);
-                        latencies.push(t0.elapsed());
-                    }
-                }
-            }
-        }
-
-        let outputs: Vec<Tensor<i64>> = outputs
-            .into_iter()
-            .map(|o| o.ok_or_else(|| CoreError::Runtime("unresolved packed request".into())))
-            .collect::<Result<_, _>>()?;
-        let makespan = t_start.elapsed();
-        let mean_latency = latencies.iter().sum::<Duration>() / latencies.len().max(1) as u32;
-        let report = RunReport {
-            latencies,
-            makespan,
-            mean_latency,
-            link_bytes: vec![],
-            intra_stage_bytes: execs.intra_total(),
-            stage_names: names,
-            stage_busy,
-            stage_threads: self.plan.threads().to_vec(),
-            stages: vec![],
-            transport: None,
-            pool_misses: rand_pool.lock().misses(),
-        };
-        Ok((outputs, report))
-    }
-
-    /// One packed chunk through every stage executor, sequentially.
-    fn run_packed_chunk(
-        &self,
-        execs: &Execs,
-        pools: &[WorkerPool],
-        plains: &[PlainTensorMsg],
-        spec: PackingSpec,
-        rand_pool: &Arc<Mutex<RandomnessPool>>,
-        stage_busy: &mut [Duration],
-    ) -> Result<Vec<PlainTensorMsg>, CoreError> {
-        use crate::packed;
-        let rt = |e: String| CoreError::Runtime(e);
-        let t0 = Instant::now();
-        let mut msg = packed::pack_plain_batch(
-            &self.keypair.public(),
-            spec,
-            plains,
-            &mut rand_pool.lock(),
-            execs.encrypt.seed,
-        )
-        .map_err(|e| rt(format!("packed encode: {e}")))?;
-        stage_busy[0] += t0.elapsed();
-
-        let (last, mids) = execs
-            .stages
-            .split_last()
-            .ok_or_else(|| rt("empty pipeline".into()))?;
-        for (i, exec) in mids.iter().enumerate() {
-            let t0 = Instant::now();
-            msg = match exec {
-                StageExec::Linear(l) => packed::execute_packed_linear(l, msg)
-                    .map_err(|e| rt(e.to_string()))?,
-                StageExec::NonLinear(nl) => packed::repack_nonlinear(nl, msg, &pools[i + 1])
-                    .map_err(|e| rt(e.to_string()))?,
-            };
-            stage_busy[i + 1] += t0.elapsed();
-        }
-        let StageExec::NonLinear(nl) = last else {
-            return Err(rt("pipeline must end with a final non-linear stage".into()));
-        };
-        if !nl.is_last {
-            return Err(rt("pipeline must end with a final non-linear stage".into()));
-        }
-        let t0 = Instant::now();
-        let outs = packed::unpack_final(nl, msg, &pools[execs.stages.len()])
-            .map_err(|e| rt(e.to_string()))?;
-        stage_busy[execs.stages.len()] += t0.elapsed();
-        Ok(outs)
-    }
-
-    /// One request through the unpacked executors, sequentially — the
-    /// fallback for a rejected packed chunk (identical math and seeds to
-    /// the pipelined path, so results stay deterministic).
-    fn run_unpacked_item(
-        &self,
-        execs: &Execs,
-        pools: &[WorkerPool],
-        plain: PlainTensorMsg,
-        stage_busy: &mut [Duration],
-    ) -> Result<PlainTensorMsg, CoreError> {
-        let t0 = Instant::now();
-        let mut msg = execs.encrypt.encrypt(plain, &pools[0]);
-        stage_busy[0] += t0.elapsed();
-        let mut out = None;
-        for (i, exec) in execs.stages.iter().enumerate() {
-            let t0 = Instant::now();
-            match exec {
-                StageExec::Linear(l) => {
-                    msg = l
-                        .execute(msg, &pools[i + 1])
-                        .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                }
-                StageExec::NonLinear(nl) => {
-                    if nl.is_last {
-                        out = Some(
-                            nl.execute_final(msg.clone(), &pools[i + 1])
-                                .map_err(|e| CoreError::Runtime(e.to_string()))?,
-                        );
-                    } else {
-                        msg = nl
-                            .execute(msg, &pools[i + 1])
-                            .map_err(|e| CoreError::Runtime(e.to_string()))?;
-                    }
-                }
-            }
-            stage_busy[i + 1] += t0.elapsed();
-        }
-        out.ok_or_else(|| CoreError::Runtime("pipeline missing final stage".into()))
     }
 
     /// Streams requests and returns the predicted class per input.
@@ -816,42 +467,6 @@ impl PpStream {
             .map(pp_nn::activation::argmax_i64)
             .collect();
         Ok((classes, report))
-    }
-}
-
-/// Converts a final plaintext message to the session's output tensor.
-fn plain_to_tensor(msg: &PlainTensorMsg) -> Result<Tensor<i64>, CoreError> {
-    let shape: Vec<usize> = msg.shape.iter().map(|&d| d as usize).collect();
-    let values: Vec<i64> = msg
-        .values
-        .iter()
-        .map(|&v| i64::try_from(v).expect("final logits fit i64"))
-        .collect();
-    Tensor::from_vec(shape, values).map_err(|e| CoreError::Runtime(e.to_string()))
-}
-
-enum StageExec {
-    Linear(Arc<LinearStage>),
-    NonLinear(Arc<NonLinearStage>),
-}
-
-struct Execs {
-    encrypt: Arc<EncryptStage>,
-    stages: Vec<StageExec>,
-}
-
-impl Execs {
-    /// Total bytes dispatched to worker threads inside linear stages
-    /// (Sec. IV-D's intra-stage communication), summed over the
-    /// per-stage counters.
-    fn intra_total(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                StageExec::Linear(l) => l.intra_bytes.load(Ordering::Relaxed),
-                StageExec::NonLinear(_) => 0,
-            })
-            .sum()
     }
 }
 
@@ -959,42 +574,6 @@ mod tests {
         let (outputs, _) = session.infer_stream(std::slice::from_ref(&input)).unwrap();
         let want = scaled.forward_scaled(&scaled.scale_input(&input)).unwrap();
         assert_eq!(outputs[0].data(), want.data());
-    }
-
-    #[test]
-    fn packed_stream_matches_unpacked_bit_for_bit() {
-        // Five requests across two packed chunks (3 slots at 32-bit
-        // slots under a 128-bit key) must produce exactly the unpacked
-        // pipeline's scaled outputs — the tentpole acceptance property.
-        let (_, session) = small_session(7);
-        let inputs: Vec<Tensor<f64>> = (0..5)
-            .map(|i| {
-                Tensor::from_flat(vec![
-                    (i as f64 * 0.7).cos(),
-                    0.3 - 0.2 * i as f64,
-                    -0.6,
-                    0.1 * i as f64,
-                ])
-            })
-            .collect();
-        let (unpacked, _) = session.infer_stream(&inputs).unwrap();
-        let (packed, report) = session.infer_stream_packed(&inputs, 32).unwrap();
-        assert_eq!(packed.len(), unpacked.len());
-        for (j, (p, u)) in packed.iter().zip(&unpacked).enumerate() {
-            assert_eq!(p.data(), u.data(), "request {j} diverges under packing");
-        }
-        assert_eq!(report.latencies.len(), 5);
-        assert_eq!(report.pool_misses, 0, "refill must cover packed encodes");
-    }
-
-    #[test]
-    fn packed_stream_rejects_infeasible_layout() {
-        // An 8-bit slot cannot hold the MLP's op budget; the session
-        // reports the infeasibility instead of silently unpacking.
-        let (_, session) = small_session(8);
-        let input = Tensor::from_flat(vec![0.1, 0.2, 0.3, 0.4]);
-        let err = session.infer_stream_packed(std::slice::from_ref(&input), 8).unwrap_err();
-        assert!(matches!(err, CoreError::Model(_)), "{err}");
     }
 
     #[test]

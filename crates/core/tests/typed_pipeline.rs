@@ -43,9 +43,10 @@ fn pp_stream_infer_matches_plain_infer_with_merged_stages() {
     // ---- Per-stage instrumentation (tentpole acceptance criteria). ----
     let n_stages = session.stages().len() + 1;
     assert_eq!(report.stages.len(), n_stages);
-    assert_eq!(report.stage_names.len(), n_stages);
-    for (stage, name) in report.stages.iter().zip(&report.stage_names) {
-        assert_eq!(&stage.name, name);
+    assert_eq!(report.stages[0].name, "encrypt@data");
+    assert_eq!(report.stages[1].name, "linear-0@model");
+    for stage in &report.stages {
+        let name = &stage.name;
         assert_eq!(stage.items_in, inputs.len() as u64, "{name} items in");
         assert_eq!(stage.items_out, inputs.len() as u64, "{name} items out");
         assert_eq!(stage.errors, 0, "{name} errors");
@@ -72,7 +73,6 @@ fn pp_stream_infer_matches_plain_infer_with_merged_stages() {
     // ---- Allocator-driven pool sizing. ----
     let plan = session.plan();
     assert!(matches!(plan.source(), PlanSource::Solver | PlanSource::EvenSplit));
-    assert_eq!(plan.threads(), &report.stage_threads[..]);
     assert_eq!(plan.n_stages(), n_stages);
     for (stage, &threads) in report.stages.iter().zip(plan.threads()) {
         assert_eq!(stage.threads, threads, "{} pool size follows the plan", stage.name);

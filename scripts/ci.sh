@@ -102,7 +102,7 @@ cargo build -p pp-stream --no-default-features
 
 echo "==> kernel gate: fused dot <= naive fold, fixed-base encrypt < full-width encrypt,"
 echo "    batched-inversion dot rows <= per-row, fixed-base refill <= pow_mod refill,"
-echo "    parallel CRT decrypt <= sequential (15% grace on single-core hosts)"
+echo "    16-ciphertext batch decrypt <= 16 sequential at 2048 bits (15% grace on single-core hosts)"
 cargo run --release -p pp-bench --bin bench_kernels -- --smoke
 
 echo "==> packed-dot gate: per-item packed <= unpacked at batch >= 8, >= 4x at batch 32"
@@ -121,6 +121,14 @@ cargo clippy --workspace -- -D warnings
 echo "==> single-driver gate: no second serve path, no raw-syscall backend"
 if grep -rnE 'PP_EVLOO[P]|legacy_threade[d]|as[m]!|epol[l]' crates tests examples scripts; then
     echo "a deleted serve path or backend reappeared (matches above)" >&2
+    exit 1
+fi
+
+# The packed linear round is the per-item one and the only packed
+# driver is the networked session.
+echo "==> one-linear-round gate: no packed copy of the linear leg, no in-process packed driver"
+if grep -rnE 'execute_packed_linea[r]|run_packed_o[p]|infer_stream_packe[d]' crates tests examples; then
+    echo "a deleted packed path reappeared (matches above)" >&2
     exit 1
 fi
 
