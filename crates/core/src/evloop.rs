@@ -19,7 +19,7 @@
 //! speaking to the event loop cannot tell it apart from a thread
 //! holding a `TcpFrameSender`.
 
-use pp_stream_runtime::link::{Frame, SeqValidator, NO_DEADLINE};
+use pp_stream_runtime::link::{decode_header, encode_header, Frame, SeqValidator, HEADER_LEN};
 use pp_stream_runtime::{tcp, StreamError, TransportErrorKind};
 
 // ---------------------------------------------------------------------------
@@ -228,9 +228,6 @@ pub use sys::{Event, Poller, Waker};
 // Incremental frame codec for nonblocking sockets
 // ---------------------------------------------------------------------------
 
-/// Wire header size: `seq: u64 | deadline_ms: u64 | len: u32`.
-const HEADER: usize = 20;
-
 /// Reassembles frames from arbitrarily-chunked nonblocking reads.
 ///
 /// The frame ceiling starts at the process-wide `PP_MAX_FRAME` default
@@ -284,38 +281,28 @@ impl FrameReader {
     /// prefix → `Transport { kind: FrameLimit }`, seq regression →
     /// `Transport { kind: Seq }`.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, StreamError> {
-        let avail = self.buf.len() - self.start;
-        if avail < HEADER {
+        let Some(header) = self.buf[self.start..].first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let h = &self.buf[self.start..self.start + HEADER];
-        let seq = u64::from_le_bytes(h[0..8].try_into().expect("8 bytes"));
-        let deadline_raw = u64::from_le_bytes(h[8..16].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(h[16..20].try_into().expect("4 bytes")) as usize;
+        };
+        let (seq, deadline_ms, len) = decode_header(header);
         if len > self.max_frame {
             return Err(StreamError::transport(
                 TransportErrorKind::FrameLimit,
                 format!("frame length prefix {len} exceeds the {}-byte frame ceiling", self.max_frame),
             ));
         }
-        if avail < HEADER + len {
+        let body = self.start + HEADER_LEN;
+        let Some(payload) = self.buf.get(body..body + len) else {
             return Ok(None);
-        }
-        let payload =
-            bytes::Bytes::from(self.buf[self.start + HEADER..self.start + HEADER + len].to_vec());
-        self.start += HEADER + len;
+        };
+        let payload = bytes::Bytes::from(payload.to_vec());
+        self.start = body + len;
         if let Some(v) = &mut self.validator {
             v.check(seq)?;
         }
-        let deadline_ms = (deadline_raw != NO_DEADLINE).then_some(deadline_raw);
         Ok(Some(Frame { seq, deadline_ms, payload }))
     }
 
-    /// Whether unconsumed bytes remain — an EOF here is a mid-frame
-    /// disconnect, not a clean shutdown.
-    pub fn has_partial(&self) -> bool {
-        self.buf.len() > self.start
-    }
 }
 
 /// Outgoing frame buffer: encodes frames with this direction's
@@ -330,24 +317,14 @@ pub struct WriteBuf {
 }
 
 impl WriteBuf {
-    pub fn new() -> Self {
-        WriteBuf::default()
-    }
-
     /// Encodes `payload` as the next frame (no deadline — server
     /// replies never carry one, matching `send_payload`).
     pub fn queue(&mut self, payload: &[u8]) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.buf.reserve(HEADER + payload.len());
-        self.buf.extend_from_slice(&seq.to_le_bytes());
-        self.buf.extend_from_slice(&NO_DEADLINE.to_le_bytes());
-        self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.buf.reserve(HEADER_LEN + payload.len());
+        self.buf.extend_from_slice(&encode_header(seq, None, payload.len() as u32));
         self.buf.extend_from_slice(payload);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.buf.len()
     }
 
     /// Bytes queued but not yet written — this connection's reply
@@ -384,6 +361,7 @@ impl WriteBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_stream_runtime::link::NO_DEADLINE;
 
     fn frame_bytes(seq: u64, deadline: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -415,13 +393,13 @@ mod tests {
         assert_eq!(got[1].deadline_ms, Some(250), "deadline survives the wire");
         assert!(got[1].payload.is_empty());
         assert_eq!(got[2].payload.len(), 300);
-        assert!(!r.has_partial());
+        assert_eq!(r.buffered_len(), 0);
     }
 
     #[test]
     fn reader_rejects_oversize_length_prefix_as_frame_limit() {
         let mut r = FrameReader::new(false);
-        r.extend_from(&frame_bytes(0, NO_DEADLINE, b"x")[..HEADER - 4]);
+        r.extend_from(&frame_bytes(0, NO_DEADLINE, b"x")[..HEADER_LEN - 4]);
         r.extend_from(&(((1usize << 30) + 1) as u32).to_le_bytes());
         match r.next_frame() {
             Err(StreamError::Transport { kind: TransportErrorKind::FrameLimit, context }) => {
@@ -429,7 +407,7 @@ mod tests {
             }
             other => panic!("expected FrameLimit, got {other:?}"),
         }
-        assert_eq!(r.buffered_len(), HEADER, "nothing past the header was buffered");
+        assert_eq!(r.buffered_len(), HEADER_LEN, "nothing past the header was buffered");
     }
 
     #[test]
@@ -462,7 +440,7 @@ mod tests {
 
     #[test]
     fn write_buf_stamps_monotonic_seqs_and_survives_partial_writes() {
-        let mut w = WriteBuf::new();
+        let mut w = WriteBuf::default();
         w.queue(b"first");
         w.queue(b"second");
 
@@ -481,7 +459,7 @@ mod tests {
         }
         let mut sink = Dribble(Vec::new());
         while !w.flush(&mut sink).expect("writable") {}
-        assert!(w.is_empty());
+        assert_eq!(w.pending_len(), 0);
 
         let mut r = FrameReader::new(true);
         r.extend_from(&sink.0);

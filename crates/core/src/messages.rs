@@ -470,6 +470,14 @@ impl WireDecode for PackedTensorMsg {
     }
 }
 
+/// Whether a wire `shape` describes exactly `count` elements. Both
+/// parties check it on every tensor message they receive: the stages
+/// index ciphertexts by shape, so a mismatch must be an error before it
+/// can be a panic.
+pub(crate) fn shape_holds(shape: &[u64], count: usize) -> bool {
+    shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d)) == Some(count as u64)
+}
+
 /// Message type tags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsgTag {

@@ -8,12 +8,13 @@ use super::report::TransportReport;
 use super::ModelProvider;
 use crate::encapsulate::{encapsulate_with, StageRole};
 use crate::messages::{
-    AcceptMsg, AckMsg, ByeMsg, HelloMsg, ItemErrorKind, ItemErrorMsg, MsgTag, PlainTensorMsg,
-    RejectCode, RejectMsg, ResumeMsg, PROTOCOL_VERSION,
+    peek_tag, shape_holds, AcceptMsg, AckMsg, ByeMsg, EncTensorMsg, HelloMsg, ItemErrorKind,
+    ItemErrorMsg, MsgTag, PackedTensorMsg, PlainTensorMsg, RejectCode, RejectMsg, ResumeMsg,
+    PROTOCOL_VERSION,
 };
 use crate::packed;
 use crate::protocol::{
-    encrypt_exec, mix, nonlinear_execs, plain_msg, EncryptStage, NonLinearStage,
+    encrypt_exec, nonlinear_execs, plain_msg, refill_seed, EncryptStage, NonLinearStage,
 };
 use crate::session::RunReport;
 use crate::CoreError;
@@ -28,7 +29,7 @@ use pp_stream_runtime::link::Frame;
 use pp_stream_runtime::wire::{from_frame, to_frame};
 use pp_stream_runtime::{
     tcp, FrameReceiver, FrameSender, StreamError, TcpConfig, TcpFrameReceiver, TcpFrameSender,
-    TransportErrorKind, WorkerPool,
+    TransportErrorKind, WireDecode, WireEncode, WorkerPool,
 };
 use pp_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -39,16 +40,6 @@ use std::time::{Duration, Instant};
 
 fn handshake_err(context: impl Into<String>) -> StreamError {
     StreamError::transport(TransportErrorKind::Handshake, context)
-}
-
-/// Seed of the input-pool refill for the stream call whose first item
-/// is `first_item` (the session's `items_done` when the call starts).
-/// It must differ between calls: under one seed the k-th input element
-/// of every call would be blinded by the same factor, and the quotient
-/// of two such ciphertexts is `1 + (x_k − x'_k)·n` — the plaintext
-/// difference, readable by the model provider.
-fn refill_seed(encrypt_seed: u64, first_item: u64) -> u64 {
-    mix(encrypt_seed ^ 0x5EED ^ mix(first_item))
 }
 
 /// Client-side handle on the shared fault state; `()` when the
@@ -141,45 +132,125 @@ fn busy_backoff(retry: &pp_stream_runtime::RetryPolicy, hint_ms: u64) -> Duratio
     Duration::from_millis(hint_ms).clamp(floor, retry.max_delay.max(floor))
 }
 
-/// Connects to the first reachable provider address, sweeping the
-/// ordered list starting at `preferred` (wrapping). One bare attempt
-/// per address per sweep, with the retry policy's backoff *between*
-/// sweeps — so a down primary costs one refused connect before the next
-/// replica is tried, and `retry.max_attempts` bounds whole-list sweeps
-/// exactly as it bounds single-address attempts today. Returns the
-/// framed halves, the index that answered, and the individual connect
-/// attempts spent.
-fn connect_sweep(
-    addrs: &[SocketAddr],
-    preferred: usize,
-    config: &TcpConfig,
-) -> Result<(TcpFrameSender, TcpFrameReceiver, usize, u32), StreamError> {
-    let sweeps = config.retry.max_attempts.max(1);
-    // Jitter seed: decorrelate processes without pulling in a rand dep.
-    let seed = std::process::id() as u64 ^ 0x5bd1_e995_9950_57ea;
-    let single = TcpConfig {
-        retry: pp_stream_runtime::RetryPolicy::no_retry(),
-        ..config.clone()
-    };
-    let mut attempts = 0u32;
-    let mut last_err = None;
-    for sweep in 1..=sweeps {
-        let delay = config.retry.delay_before(sweep, seed);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
+/// The ordered provider addresses, which of them is serving now, and how
+/// to reach them.
+struct Route {
+    addrs: Vec<SocketAddr>,
+    idx: usize,
+    tcp: TcpConfig,
+}
+
+impl Route {
+    /// Connects to the first reachable provider address, sweeping the
+    /// ordered list starting at the current one (wrapping). One bare
+    /// attempt per address per sweep, with the retry policy's backoff
+    /// *between* sweeps — so a down primary costs one refused connect
+    /// before the next replica is tried, and `retry.max_attempts` bounds
+    /// whole-list sweeps exactly as it bounds single-address attempts.
+    /// Returns the framed halves, the index that answered, and the
+    /// individual connect attempts spent.
+    fn sweep(&self) -> Result<(TcpFrameSender, TcpFrameReceiver, usize, u32), StreamError> {
+        let sweeps = self.tcp.retry.max_attempts.max(1);
+        // Jitter seed: decorrelate processes without pulling in a rand dep.
+        let seed = std::process::id() as u64 ^ 0x5bd1_e995_9950_57ea;
+        let single = TcpConfig {
+            retry: pp_stream_runtime::RetryPolicy::no_retry(),
+            ..self.tcp.clone()
+        };
+        let mut attempts = 0u32;
+        let mut last_err = None;
+        for sweep in 1..=sweeps {
+            let delay = self.tcp.retry.delay_before(sweep, seed);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            for offset in 0..self.addrs.len() {
+                let idx = (self.idx + offset) % self.addrs.len();
+                attempts += 1;
+                match tcp::connect_with(self.addrs[idx], &single) {
+                    Ok(c) => return Ok((c.tx, c.rx, idx, attempts)),
+                    Err(e) => last_err = Some(e),
+                }
+            }
         }
-        for offset in 0..addrs.len() {
-            let idx = (preferred + offset) % addrs.len();
-            attempts += 1;
-            match tcp::connect_with(addrs[idx], &single) {
-                Ok(c) => return Ok((c.tx, c.rx, idx, attempts)),
-                Err(e) => last_err = Some(e),
+        Err(last_err.unwrap_or_else(|| {
+            StreamError::transport(TransportErrorKind::Connect, "no provider addresses")
+        }))
+    }
+
+    /// The opening exchange of a connection, behind both the first
+    /// connect and every resume: sweep to a reachable provider, send
+    /// `opening` (the Hello or the Resume, named by `what`), and hand
+    /// back the raw halves with the server's Accept for the caller to
+    /// check against what it sent.
+    ///
+    /// A `Reject { code: Busy }` is an admission-controlled server's
+    /// answer, not a refusal: the hint is honoured and the exchange
+    /// retried within the connect retry budget — an at-capacity server
+    /// has *not* forgotten a resumed session, and giving up would orphan
+    /// its state. Any other rejection is final for this provider; with
+    /// `fail_over` the next address is tried — a restarted process (same
+    /// journal) or a warm replica may hold the session this one does
+    /// not — until every address has refused.
+    fn open(
+        &mut self,
+        transport: &mut TransportReport,
+        opening: &Bytes,
+        what: &str,
+        fail_over: bool,
+    ) -> Result<(TcpFrameSender, TcpFrameReceiver, AcceptMsg), StreamError> {
+        let mut attempt = 0u32;
+        let mut rejected = 0usize;
+        loop {
+            attempt += 1;
+            let (mut tx, mut rx, idx, attempts) = self.sweep().map_err(|e| e.at_stage(what))?;
+            transport.connect_attempts += attempts;
+            if idx != self.idx {
+                // The preferred provider was unreachable; a lower-
+                // priority address answered instead.
+                transport.failovers += 1;
+                self.idx = idx;
+            }
+            transport.bytes_sent += opening.len() as u64;
+            transport.frames_sent += 1;
+            tx.send_payload(opening.clone()).map_err(|e| e.at_stage(what))?;
+
+            let reply = rx
+                .recv()
+                .map_err(|e| e.at_stage(&format!("{what} reply")))?
+                .ok_or_else(|| handshake_err(format!("server closed without answering the {what}")))?;
+            transport.bytes_received += reply.payload.len() as u64;
+            transport.frames_received += 1;
+            match peek_tag(&reply.payload) {
+                Some(MsgTag::Accept) => return Ok((tx, rx, from_frame(reply.payload)?)),
+                Some(MsgTag::Reject) => {
+                    let reject: RejectMsg = from_frame(reply.payload)?;
+                    if reject.code == RejectCode::Busy
+                        && attempt < self.tcp.retry.max_attempts.max(1)
+                    {
+                        transport.rejected_busy += 1;
+                        std::thread::sleep(busy_backoff(&self.tcp.retry, reject.retry_after_ms));
+                        continue;
+                    }
+                    rejected += 1;
+                    if fail_over && rejected < self.addrs.len() {
+                        self.idx = (idx + 1) % self.addrs.len();
+                        transport.failovers += 1;
+                        continue;
+                    }
+                    return Err(handshake_err(format!(
+                        "server rejected {what}: {}",
+                        reject.reason
+                    )));
+                }
+                _ => {
+                    return Err(handshake_err(format!(
+                        "unexpected reply to the {what} (neither accept nor reject)"
+                    )))
+                }
             }
         }
     }
-    Err(last_err.unwrap_or_else(|| {
-        StreamError::transport(TransportErrorKind::Connect, "no provider addresses")
-    }))
 }
 
 /// Placeholder halves installed while a reconnect is in flight, so the
@@ -218,10 +289,7 @@ impl FrameReceiver for DeadHalf {
 pub struct NetworkedSession {
     tx: Box<dyn FrameSender>,
     rx: Box<dyn FrameReceiver>,
-    /// Ordered provider addresses; `addrs[addr_idx]` is serving now.
-    addrs: Vec<SocketAddr>,
-    addr_idx: usize,
-    tcp: TcpConfig,
+    route: Route,
     scaled: ScaledModel,
     steps: Vec<ClientStep>,
     encrypt: EncryptStage,
@@ -294,6 +362,39 @@ enum ItemResult {
 enum PackedRoundOutcome {
     Done(Vec<PlainTensorMsg>),
     Fallback { reset: bool },
+}
+
+/// What a linear round sends and gets back: one item's tensor, or a
+/// packed batch's.
+trait RoundMsg: WireEncode + WireDecode {
+    /// Whether `reply` carries this request's seq(s) and exactly as many
+    /// ciphertexts as its shape describes.
+    fn answered_by(&self, reply: &Self) -> bool;
+}
+
+impl RoundMsg for EncTensorMsg {
+    fn answered_by(&self, reply: &Self) -> bool {
+        reply.seq == self.seq && shape_holds(&reply.shape, reply.cts.len())
+    }
+}
+
+impl RoundMsg for PackedTensorMsg {
+    fn answered_by(&self, reply: &Self) -> bool {
+        reply.seqs == self.seqs && shape_holds(&reply.shape, reply.cts.len())
+    }
+}
+
+/// How a linear round trip ended short of a usable reply.
+enum RoundFailure {
+    /// The budget ran out before the send; nothing left the client.
+    Expired,
+    /// The socket failed, on the send or waiting for the reply.
+    Io(StreamError),
+    /// A reply arrived and cannot be used: late (stall window),
+    /// undecodable, or not an echo of the request.
+    BadReply(StreamError),
+    /// The server answered the round with a per-item error.
+    Item(ItemErrorMsg),
 }
 
 /// Converts a resolved item into the caller-facing outcome. In strict
@@ -402,74 +503,20 @@ impl NetworkedSession {
         });
 
         let mut transport = TransportReport::default();
-        // Busy-rejection backoff: an admission-controlled server answers
-        // the hello with `Reject { code: Busy, retry_after_ms }`. Honor
-        // the hint and retry within the connect retry budget instead of
-        // treating the rejection as fatal.
-        let mut attempt = 0u32;
-        let mut addr_idx = 0usize;
-        let (tx, rx, session, accepted_slot_bits) = loop {
-            attempt += 1;
-            let (mut tx, mut rx, idx, attempts) =
-                connect_sweep(&addrs, addr_idx, &config.tcp).map_err(CoreError::from)?;
-            transport.connect_attempts += attempts;
-            if idx != addr_idx {
-                // The preferred provider was unreachable; a lower-
-                // priority address answered instead.
-                transport.failovers += 1;
-                addr_idx = idx;
-            }
-            transport.bytes_sent += hello.len() as u64;
-            transport.frames_sent += 1;
-            tx.send_payload(hello.clone()).map_err(|e| e.at_stage("handshake hello"))?;
-
-            let reply = rx
-                .recv()
-                .map_err(|e| e.at_stage("handshake reply"))?
-                .ok_or_else(|| handshake_err("server closed without answering hello"))?;
-            transport.bytes_received += reply.payload.len() as u64;
-            transport.frames_received += 1;
-            match crate::messages::peek_tag(&reply.payload) {
-                Some(MsgTag::Accept) => {
-                    let accept: AcceptMsg = from_frame(reply.payload).map_err(CoreError::from)?;
-                    if accept.version != PROTOCOL_VERSION
-                        || accept.pk_fingerprint != fingerprint
-                        || accept.topology != topology
-                    {
-                        return Err(CoreError::from(handshake_err(
-                            "server accept did not echo the agreed parameters",
-                        )));
-                    }
-                    break (tx, rx, accept.session, accept.pack_slot_bits);
-                }
-                Some(MsgTag::Reject) => {
-                    let reject: RejectMsg = from_frame(reply.payload).map_err(CoreError::from)?;
-                    if reject.code == RejectCode::Busy
-                        && attempt < config.tcp.retry.max_attempts.max(1)
-                    {
-                        transport.rejected_busy += 1;
-                        std::thread::sleep(busy_backoff(
-                            &config.tcp.retry,
-                            reject.retry_after_ms,
-                        ));
-                        continue;
-                    }
-                    return Err(CoreError::from(handshake_err(format!(
-                        "server rejected handshake: {}",
-                        reject.reason
-                    ))));
-                }
-                _ => {
-                    return Err(CoreError::from(handshake_err(
-                        "unexpected reply to hello (neither accept nor reject)",
-                    )));
-                }
-            }
-        };
+        let mut route = Route { addrs, idx: 0, tcp: config.tcp.clone() };
+        let (tx, rx, accept) = route.open(&mut transport, &hello, "handshake", false)?;
+        if accept.version != PROTOCOL_VERSION
+            || accept.pk_fingerprint != fingerprint
+            || accept.topology != topology
+        {
+            return Err(CoreError::from(handshake_err(
+                "server accept did not echo the agreed parameters",
+            )));
+        }
 
         // The proposal stands only if the server echoed its slot width;
         // an echo of 0 (or anything else) declines packing.
-        let packing = packing.filter(|s| accepted_slot_bits as usize == s.slot_bits);
+        let packing = packing.filter(|s| accept.pack_slot_bits as usize == s.slot_bits);
 
         // Client-side execution plan: socket round trips for linear
         // stages, local executors for the rest.
@@ -504,16 +551,14 @@ impl NetworkedSession {
         Ok(NetworkedSession {
             tx,
             rx,
-            addrs,
-            addr_idx,
-            tcp: config.tcp.clone(),
+            route,
             scaled,
             steps,
             encrypt: encrypt_exec(keypair.public(), config.seed, Some(Arc::clone(&rand_pool))),
             rand_pool,
             pool: WorkerPool::new(config.threads.max(1)),
             transport,
-            session,
+            session: accept.session,
             items_done: 0,
             topology,
             fingerprint,
@@ -745,24 +790,21 @@ impl NetworkedSession {
     ) -> Result<ItemResult, CoreError> {
         let mut resumes = 0u32;
         loop {
-            let mut progressed = false;
-            let err = match self.try_request(&plain, deadline, &mut progressed) {
+            let sent_before = self.transport.frames_sent;
+            let err = match self.try_request(&plain, deadline) {
                 Ok(out) => return Ok(out),
                 Err(e) => e,
             };
+            // The server saw at least round 0 of this attempt, so a
+            // retry is a true replay.
+            let progressed = self.transport.frames_sent > sent_before;
             let recoverable = is_transient(&err) || matches!(err, StreamError::Stalled { .. });
             if !recoverable || resumes >= self.max_resumes {
                 return Err(CoreError::from(err));
             }
             resumes += 1;
             match self.reconnect_and_resume() {
-                Ok(()) => {
-                    if progressed {
-                        // The server saw at least round 0 of this
-                        // attempt; the retry is a true replay.
-                        self.transport.items_replayed += 1;
-                    }
-                }
+                Ok(()) => self.transport.items_replayed += progressed as u64,
                 Err(resume_err) => {
                     // Surface the original failure; the failed recovery
                     // is context, not the headline.
@@ -772,6 +814,80 @@ impl NetworkedSession {
                 }
             }
         }
+    }
+
+    /// One linear round trip over the current connection, behind both
+    /// the per-item and the packed round sets: stamp the remaining
+    /// budget, send `request`, wait for the reply, count both frames,
+    /// and hand the reply back only if it is on time, decodes, and
+    /// echoes the request. `round` and `key` (the item's seq, or the
+    /// batch's first) name the hop in errors. How each failure is
+    /// answered is the caller's policy.
+    fn linear_round<M: RoundMsg>(
+        &mut self,
+        round: usize,
+        key: u64,
+        request: &M,
+        deadline: Option<Instant>,
+    ) -> Result<M, RoundFailure> {
+        let stage = || format!("linear-{round}@model (request {key})");
+        // Remaining budget for this hop, re-stamped as a relative
+        // duration (never a wall timestamp, so the peers' clocks need
+        // not agree).
+        let budget_ms = match deadline {
+            Some(d) => {
+                let now = Instant::now();
+                if now >= d {
+                    return Err(RoundFailure::Expired);
+                }
+                Some((d - now).as_millis() as u64)
+            }
+            None => None,
+        };
+        let payload = to_frame(request);
+        let len = payload.len() as u64;
+        self.tx
+            .send_payload_deadline(payload, budget_ms)
+            .map_err(|e| RoundFailure::Io(e.at_stage(&format!("{} send", stage()))))?;
+        self.transport.bytes_sent += len;
+        self.transport.frames_sent += 1;
+        let t_recv = Instant::now();
+        let frame = match self.rx.recv() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => {
+                return Err(RoundFailure::Io(StreamError::transport(
+                    TransportErrorKind::Eof,
+                    format!("server closed before the {} reply", stage()),
+                )))
+            }
+            Err(e) => return Err(RoundFailure::Io(e.at_stage(&format!("{} reply", stage())))),
+        };
+        self.transport.bytes_received += frame.payload.len() as u64;
+        self.transport.frames_received += 1;
+        // Stall watchdog: a reply that took longer than the window marks
+        // the connection as alive-but-stuck. The late frame is discarded
+        // — replay is bit-identical, so dropping a valid reply is safe.
+        if self.stall_window.is_some_and(|window| t_recv.elapsed() > window) {
+            self.transport.stalls += 1;
+            return Err(RoundFailure::BadReply(StreamError::Stalled { stage: stage() }));
+        }
+        if peek_tag(&frame.payload) == Some(MsgTag::ItemError) {
+            return Err(match from_frame(frame.payload) {
+                Ok(item_error) => RoundFailure::Item(item_error),
+                Err(e) => RoundFailure::BadReply(e),
+            });
+        }
+        let reply: M = from_frame(frame.payload).map_err(RoundFailure::BadReply)?;
+        // A corrupted-but-decodable reply must die here, not flow into
+        // a stage that would panic on it.
+        if !request.answered_by(&reply) {
+            return Err(RoundFailure::BadReply(StreamError::Stage(format!(
+                "{}: reply does not echo the request's seq, or its shape does not match \
+                 its ciphertext count (corrupt or misrouted)",
+                stage()
+            ))));
+        }
+        Ok(reply)
     }
 
     /// One attempt at a whole batch's round set as packed ciphertexts.
@@ -790,7 +906,6 @@ impl NetworkedSession {
             return PackedRoundOutcome::Fallback { reset: false };
         };
         let key = first.seq;
-        let expected: Vec<u64> = plains.iter().map(|p| p.seq).collect();
         let packed = {
             let mut pool = self.rand_pool.lock();
             packed::pack_plain_batch(spec, plains, &mut pool, self.encrypt.seed)
@@ -800,75 +915,35 @@ impl NetworkedSession {
             Err(_) => return PackedRoundOutcome::Fallback { reset: false },
         };
         let last = self.steps.len() - 1;
-        for (i, step) in self.steps.iter().enumerate() {
-            match step {
+        for i in 0..=last {
+            match self.steps[i] {
                 ClientStep::Linear { round } => {
-                    let budget_ms = match deadline {
-                        Some(d) => {
-                            let now = Instant::now();
-                            if now >= d {
+                    msg = match self.linear_round(round, key, &msg, deadline) {
+                        Ok(reply) => reply,
+                        Err(failure) => {
+                            let reset = match failure {
                                 // Expired mid-flight: replay unpacked
                                 // (with fresh per-item budgets). Past
-                                // round 0 the server tracks the batch,
-                                // so the fallback must reconnect.
-                                return PackedRoundOutcome::Fallback { reset: *round > 0 };
-                            }
-                            Some((d - now).as_millis() as u64)
-                        }
-                        None => None,
-                    };
-                    let payload = to_frame(&msg);
-                    let len = payload.len() as u64;
-                    if self.tx.send_payload_deadline(payload, budget_ms).is_err() {
-                        // Dead socket: the per-item replay reconnects.
-                        return PackedRoundOutcome::Fallback { reset: false };
-                    }
-                    self.transport.bytes_sent += len;
-                    self.transport.frames_sent += 1;
-                    let t_recv = Instant::now();
-                    let frame = match self.rx.recv() {
-                        Ok(Some(frame)) => frame,
-                        Ok(None) | Err(_) => {
-                            return PackedRoundOutcome::Fallback { reset: false };
-                        }
-                    };
-                    self.transport.bytes_received += frame.payload.len() as u64;
-                    self.transport.frames_received += 1;
-                    if let Some(window) = self.stall_window {
-                        if t_recv.elapsed() > window {
-                            self.transport.stalls += 1;
-                            return PackedRoundOutcome::Fallback { reset: true };
-                        }
-                    }
-                    match crate::messages::peek_tag(&frame.payload) {
-                        Some(MsgTag::ItemError) => {
-                            // A PackedAbort already released the server's
-                            // batch state; any other error reply is a
-                            // protocol surprise worth a clean slate.
-                            let reset = match from_frame::<ItemErrorMsg>(frame.payload) {
-                                Ok(ie) => ie.kind != ItemErrorKind::PackedAbort || ie.seq != key,
-                                Err(_) => true,
+                                // round 0 the server tracks the batch.
+                                RoundFailure::Expired => round > 0,
+                                // Dead socket: the per-item replay
+                                // reconnects.
+                                RoundFailure::Io(_) => false,
+                                RoundFailure::BadReply(_) => true,
+                                // A PackedAbort already released the
+                                // server's batch state; any other error
+                                // reply is a protocol surprise worth a
+                                // clean slate.
+                                RoundFailure::Item(ie) => {
+                                    ie.kind != ItemErrorKind::PackedAbort || ie.seq != key
+                                }
                             };
                             return PackedRoundOutcome::Fallback { reset };
                         }
-                        Some(MsgTag::PackedTensor) => {
-                            msg = match from_frame(frame.payload) {
-                                Ok(m) => m,
-                                Err(_) => return PackedRoundOutcome::Fallback { reset: true },
-                            };
-                            let elems =
-                                msg.shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
-                            if msg.seqs != expected
-                                || elems.map(|n| n as usize) != Some(msg.cts.len())
-                            {
-                                return PackedRoundOutcome::Fallback { reset: true };
-                            }
-                            self.transport.packed_rounds += 1;
-                        }
-                        _ => return PackedRoundOutcome::Fallback { reset: true },
-                    }
+                    };
+                    self.transport.packed_rounds += 1;
                 }
-                ClientStep::NonLinear(nl) => {
+                ClientStep::NonLinear(ref nl) => {
                     if i == last {
                         return match packed::unpack_final(nl, msg, &self.pool) {
                             Ok(outputs) => PackedRoundOutcome::Done(outputs),
@@ -886,144 +961,72 @@ impl NetworkedSession {
     }
 
     /// One attempt at an item's full round set over the current
-    /// connection. `progressed` flips once the server has seen round 0,
-    /// so the caller can count true replays.
+    /// connection. A transport failure or an unusable reply is the
+    /// caller's to recover by resume; a per-item verdict (expired
+    /// budget, server error reply, undecryptable ciphertexts) resolves
+    /// the item and leaves the session streaming.
     fn try_request(
         &mut self,
         plain: &PlainTensorMsg,
         deadline: Option<Instant>,
-        progressed: &mut bool,
     ) -> Result<ItemResult, StreamError> {
         let seq = plain.seq;
+        let failed = |kind, detail| Ok(ItemResult::Failed { kind, detail });
         let mut msg = self.encrypt.encrypt(plain.clone(), &self.pool);
         let last = self.steps.len() - 1;
-        for (i, step) in self.steps.iter().enumerate() {
-            match step {
+        for i in 0..=last {
+            match self.steps[i] {
                 ClientStep::Linear { round } => {
-                    let stage_name = format!("linear-{round}@model (request {seq})");
-                    // Remaining budget for this hop, re-stamped as a
-                    // relative duration (never a wall timestamp, so the
-                    // peers' clocks need not agree). An exhausted budget
-                    // sheds the item client-side before the send.
-                    let budget_ms = match deadline {
-                        Some(d) => {
-                            let now = Instant::now();
-                            if now >= d {
-                                self.transport.deadline_expired += 1;
-                                return Ok(ItemResult::Failed {
-                                    kind: ItemErrorKind::DeadlineExpired,
-                                    detail: format!(
-                                        "budget exhausted before the {stage_name} send"
-                                    ),
-                                });
-                            }
-                            Some((d - now).as_millis() as u64)
+                    msg = match self.linear_round(round, seq, &msg, deadline) {
+                        Ok(reply) => reply,
+                        Err(RoundFailure::Io(e) | RoundFailure::BadReply(e)) => return Err(e),
+                        // An exhausted budget sheds the item client-side
+                        // before the send.
+                        Err(RoundFailure::Expired) => {
+                            self.transport.deadline_expired += 1;
+                            return failed(
+                                ItemErrorKind::DeadlineExpired,
+                                format!("budget exhausted before the linear-{round}@model send"),
+                            );
                         }
-                        None => None,
+                        Err(RoundFailure::Item(ie)) => {
+                            if ie.seq != seq {
+                                return Err(StreamError::Stage(format!(
+                                    "linear-{round}@model (request {seq}): item-error reply \
+                                     carries seq {} (misrouted)",
+                                    ie.seq
+                                )));
+                            }
+                            match ie.kind {
+                                ItemErrorKind::DeadlineExpired => {
+                                    self.transport.deadline_expired += 1
+                                }
+                                ItemErrorKind::Quarantined => self.transport.quarantined += 1,
+                                ItemErrorKind::Shed => self.transport.shed += 1,
+                                // Only packed rounds are answered with an
+                                // abort, and CorruptReply is raised
+                                // client-side; on the wire either still
+                                // just fails the one item.
+                                ItemErrorKind::PackedAbort | ItemErrorKind::CorruptReply => {}
+                            }
+                            return failed(ie.kind, ie.detail);
+                        }
                     };
-                    let payload = to_frame(&msg);
-                    let len = payload.len() as u64;
-                    self.tx
-                        .send_payload_deadline(payload, budget_ms)
-                        .map_err(|e| e.at_stage(&format!("{stage_name} send")))?;
-                    *progressed = true;
-                    self.transport.bytes_sent += len;
-                    self.transport.frames_sent += 1;
-                    let t_recv = Instant::now();
-                    let frame = self
-                        .rx
-                        .recv()
-                        .map_err(|e| e.at_stage(&format!("{stage_name} reply")))?
-                        .ok_or_else(|| {
-                            StreamError::transport(
-                                TransportErrorKind::Eof,
-                                format!("server closed before the {stage_name} reply"),
-                            )
-                        })?;
-                    self.transport.bytes_received += frame.payload.len() as u64;
-                    self.transport.frames_received += 1;
-                    // Stall watchdog: a reply that took longer than the
-                    // window marks the connection as alive-but-stuck.
-                    // The late frame is discarded and the item recovered
-                    // by reconnect-and-resume — replay is bit-identical,
-                    // so dropping a valid reply is safe.
-                    if let Some(window) = self.stall_window {
-                        if t_recv.elapsed() > window {
-                            self.transport.stalls += 1;
-                            return Err(StreamError::Stalled { stage: stage_name });
-                        }
-                    }
-                    // A per-item error reply fails this item and leaves
-                    // the session streaming.
-                    if matches!(
-                        crate::messages::peek_tag(&frame.payload),
-                        Some(MsgTag::ItemError)
-                    ) {
-                        let ie: ItemErrorMsg = from_frame(frame.payload)?;
-                        if ie.seq != seq {
-                            return Err(StreamError::Stage(format!(
-                                "{stage_name}: item-error reply carries seq {} (misrouted)",
-                                ie.seq
-                            )));
-                        }
-                        match ie.kind {
-                            ItemErrorKind::DeadlineExpired => {
-                                self.transport.deadline_expired += 1
-                            }
-                            ItemErrorKind::Quarantined => self.transport.quarantined += 1,
-                            ItemErrorKind::Shed => self.transport.shed += 1,
-                            // Only packed rounds are answered with an
-                            // abort; for an unpacked item it still
-                            // resolves the item like any other failure.
-                            ItemErrorKind::PackedAbort => {}
-                            // CorruptReply is raised client-side; an
-                            // honest server never sends it, but a wire
-                            // message carrying it still just fails the
-                            // one item.
-                            ItemErrorKind::CorruptReply => {}
-                        }
-                        return Ok(ItemResult::Failed { kind: ie.kind, detail: ie.detail });
-                    }
-                    msg = from_frame(frame.payload)?;
-                    // A corrupted-but-decodable reply must die here, not
-                    // flow into a stage that would panic on it.
-                    if msg.seq != seq {
-                        return Err(StreamError::Stage(format!(
-                            "{stage_name}: reply carries seq {} (corrupt or misrouted)",
-                            msg.seq
-                        )));
-                    }
-                    let elems = msg.shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
-                    if elems.map(|n| n as usize) != Some(msg.cts.len()) {
-                        return Err(StreamError::Stage(format!(
-                            "{stage_name}: reply shape {:?} does not match {} ciphertexts",
-                            msg.shape,
-                            msg.cts.len()
-                        )));
-                    }
                 }
-                ClientStep::NonLinear(nl) => {
-                    // Stage failures here mean the reply decoded as a
-                    // frame but its ciphertexts decrypt to garbage (or
-                    // out-of-range values). The connection is fine —
-                    // fail the one item instead of tearing down.
+                // Stage failures here mean the reply decoded as a frame
+                // but its ciphertexts decrypt to garbage (or out-of-range
+                // values). The connection is fine — fail the one item
+                // instead of tearing down.
+                ClientStep::NonLinear(ref nl) => {
                     if i == last {
                         return match nl.execute_final(msg, &self.pool) {
                             Ok(out) => Ok(ItemResult::Output(out)),
-                            Err(e) => Ok(ItemResult::Failed {
-                                kind: ItemErrorKind::CorruptReply,
-                                detail: e.to_string(),
-                            }),
+                            Err(e) => failed(ItemErrorKind::CorruptReply, e.to_string()),
                         };
                     }
                     msg = match nl.execute(msg, &self.pool) {
                         Ok(m) => m,
-                        Err(e) => {
-                            return Ok(ItemResult::Failed {
-                                kind: ItemErrorKind::CorruptReply,
-                                detail: e.to_string(),
-                            })
-                        }
+                        Err(e) => return failed(ItemErrorKind::CorruptReply, e.to_string()),
                     };
                 }
             }
@@ -1035,9 +1038,8 @@ impl NetworkedSession {
     /// retry policy, and re-syncs the session via Resume. On success the
     /// new (fault-wrapped) halves are installed.
     fn reconnect_and_resume(&mut self) -> Result<(), StreamError> {
-        // Drop the dead socket *first*: a sequential server is still
-        // blocked reading it and will only accept the new connection
-        // after seeing its EOF.
+        // Drop the dead socket *first*, so the server sees its EOF (and
+        // gives its admission slot back) before the resume asks for one.
         self.tx = Box::new(DeadHalf);
         self.rx = Box::new(DeadHalf);
         revive_fault(&self.fault);
@@ -1048,87 +1050,24 @@ impl NetworkedSession {
             items_done: self.items_done,
             topology: self.topology,
         });
-
-        // Busy rejections of the resume are backed off and retried, like
-        // at connect: an at-capacity server has *not* forgotten the
-        // session — giving up would orphan its resumable state. Any
-        // *other* rejection fails over to the next provider address —
-        // a restarted process (same journal) or a warm replica may hold
-        // the session even when this one does not — and only after
-        // every address has refused does the resume give up.
-        let mut attempt = 0u32;
-        let mut rejected = 0usize;
-        loop {
-            attempt += 1;
-            let (mut tx, mut rx, idx, attempts) =
-                connect_sweep(&self.addrs, self.addr_idx, &self.tcp)
-                    .map_err(|e| e.at_stage("reconnect"))?;
-            self.transport.connect_attempts += attempts;
-            if idx != self.addr_idx {
-                self.transport.failovers += 1;
-                self.addr_idx = idx;
-            }
-
-            self.transport.bytes_sent += resume.len() as u64;
-            self.transport.frames_sent += 1;
-            tx.send_payload(resume.clone()).map_err(|e| e.at_stage("resume"))?;
-
-            let reply = rx
-                .recv()
-                .map_err(|e| e.at_stage("resume reply"))?
-                .ok_or_else(|| handshake_err("server closed without answering resume"))?;
-            self.transport.bytes_received += reply.payload.len() as u64;
-            self.transport.frames_received += 1;
-            match crate::messages::peek_tag(&reply.payload) {
-                Some(MsgTag::Accept) => {
-                    let accept: AcceptMsg = from_frame(reply.payload)?;
-                    if accept.version != PROTOCOL_VERSION
-                        || accept.pk_fingerprint != self.fingerprint
-                        || accept.session != self.session
-                    {
-                        return Err(handshake_err(
-                            "server resume-accept did not echo the session parameters",
-                        ));
-                    }
-                }
-                Some(MsgTag::Reject) => {
-                    let reject: RejectMsg = from_frame(reply.payload)?;
-                    if reject.code == RejectCode::Busy
-                        && attempt < self.tcp.retry.max_attempts.max(1)
-                    {
-                        self.transport.rejected_busy += 1;
-                        std::thread::sleep(busy_backoff(&self.tcp.retry, reject.retry_after_ms));
-                        continue;
-                    }
-                    rejected += 1;
-                    if rejected < self.addrs.len() {
-                        // This provider refused the session; fail over.
-                        self.addr_idx = (idx + 1) % self.addrs.len();
-                        self.transport.failovers += 1;
-                        continue;
-                    }
-                    return Err(handshake_err(format!(
-                        "server rejected resume: {}",
-                        reject.reason
-                    )));
-                }
-                _ => {
-                    return Err(handshake_err(
-                        "unexpected reply to resume (neither accept nor reject)",
-                    ));
-                }
-            }
-
-            let (tx, rx) = wrap_transport(tx, rx, &self.fault);
-            self.tx = tx;
-            self.rx = rx;
-            self.transport.reconnects += 1;
-            // Resumed connections run unpacked: the replacement server
-            // connection negotiated no packing (Resume has no proposal)
-            // and its fresh PermStore has no packed permutations.
-            self.packing = None;
-            return Ok(());
+        let (tx, rx, accept) = self.route.open(&mut self.transport, &resume, "resume", true)?;
+        if accept.version != PROTOCOL_VERSION
+            || accept.pk_fingerprint != self.fingerprint
+            || accept.session != self.session
+        {
+            return Err(handshake_err(
+                "server resume-accept did not echo the session parameters",
+            ));
         }
+        let (tx, rx) = wrap_transport(tx, rx, &self.fault);
+        self.tx = tx;
+        self.rx = rx;
+        self.transport.reconnects += 1;
+        // Resumed connections run unpacked: the replacement server
+        // connection negotiated no packing (Resume has no proposal)
+        // and its fresh PermStore has no packed permutations.
+        self.packing = None;
+        Ok(())
     }
 
     /// Fire-and-forget delivery confirmation after a completed item. A
@@ -1148,26 +1087,25 @@ impl NetworkedSession {
 mod tests {
     use super::*;
 
-    #[test]
-    fn consecutive_stream_calls_refill_from_disjoint_factors() {
-        // Two one-item calls start at items_done = 0 and 1. Their pool
-        // refills must share no factor, or the model provider could
-        // divide the two requests' ciphertexts element by element.
-        let encrypt_seed = 42 ^ 0x0E2C;
-        let (first, second) = (refill_seed(encrypt_seed, 0), refill_seed(encrypt_seed, 1));
-        assert_ne!(first, second);
-        assert_eq!(first, refill_seed(encrypt_seed, 0));
+    /// A packable model (32-bit slots on a 128-bit key hold 3 members),
+    /// its provider on the event loop, and a session connected under
+    /// `config`.
+    fn connected(config: &NetConfig) -> (ScaledModel, crate::ServerHandle, NetworkedSession) {
+        let model =
+            pp_nn::zoo::mlp("m", &[4, 6, 3], &mut StdRng::seed_from_u64(31)).expect("model");
+        let scaled = ScaledModel::from_model(&model, 100);
+        let provider = Arc::new(ModelProvider::new(&scaled, config).expect("provider"));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let handle = provider
+            .serve_forever(listener, crate::ServeOptions::default())
+            .expect("spawn server");
+        let session =
+            NetworkedSession::connect(handle.addr(), scaled.clone(), config).expect("connect");
+        (scaled, handle, session)
+    }
 
-        let kp = Keypair::generate(128, &mut StdRng::seed_from_u64(5));
-        let workers = WorkerPool::new(2);
-        let factors = |seed| {
-            let mut pool = RandomnessPool::new(kp.public());
-            pool.refill_parallel(12, &workers, seed);
-            std::iter::from_fn(|| pool.take_factor()).collect::<Vec<_>>()
-        };
-        let (a, b) = (factors(first), factors(second));
-        assert_eq!(a.len(), 12);
-        assert!(a.iter().all(|f| !b.contains(f)), "a blinding factor repeats across calls");
+    fn three_inputs() -> Vec<Tensor<f64>> {
+        (0..3).map(|i| Tensor::from_flat(vec![0.1 * i as f64, -0.4, 0.7, 0.2])).collect()
     }
 
     #[test]
@@ -1175,23 +1113,11 @@ mod tests {
         // A call refills for one factor per input element of every
         // member, a packed batch spends one per position: the surplus
         // must carry over into the next call's refill, not accumulate.
-        let model =
-            pp_nn::zoo::mlp("m", &[4, 6, 3], &mut StdRng::seed_from_u64(31)).expect("model");
-        let scaled = ScaledModel::from_model(&model, 100);
         let mut config = NetConfig::small_test(128);
-        config.pack_slot_bits = 32; // 128-bit key → 3 slots per ciphertext
-        let provider = Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let handle = provider
-            .serve_forever(listener, crate::ServeOptions::default())
-            .expect("spawn server");
-
-        let mut session =
-            NetworkedSession::connect(handle.addr(), scaled, &config).expect("connect");
-        let inputs: Vec<Tensor<f64>> =
-            (0..3).map(|i| Tensor::from_flat(vec![0.1 * i as f64, -0.4, 0.7, 0.2])).collect();
+        config.pack_slot_bits = 32;
+        let (_, handle, mut session) = connected(&config);
         for _ in 0..3 {
-            let (_, report) = session.infer_stream(&inputs).expect("packed call");
+            let (_, report) = session.infer_stream(&three_inputs()).expect("packed call");
             assert_eq!(report.transport.expect("transport").packed_fallbacks, 0);
             assert_eq!(report.pool_misses, 0);
             // 3 members × 4 elements refilled, 4 positions spent.
@@ -1199,6 +1125,72 @@ mod tests {
         }
         assert!(session.shutdown().clean_shutdown);
         handle.shutdown();
+    }
+
+    /// Hands the first reply over `delay` late, then is transparent.
+    struct LateOnce {
+        inner: Box<dyn FrameReceiver>,
+        delay: Option<Duration>,
+    }
+
+    impl FrameReceiver for LateOnce {
+        fn recv(&mut self) -> Result<Option<Frame>, StreamError> {
+            let frame = self.inner.recv();
+            if let Some(delay) = self.delay.take() {
+                std::thread::sleep(delay);
+            }
+            frame
+        }
+    }
+
+    #[test]
+    fn a_late_reply_is_one_stall_whichever_round_set_was_waiting() {
+        // The one round trip, under its two callers: the first linear
+        // reply of the stream arrives past the stall window. Per-item,
+        // the item is resumed and replayed; packed, the batch falls back
+        // with a reset (the reconnect) and its members replay unpacked,
+        // which only the server counts. Either way: one stall, one
+        // reconnect, the right answers.
+        struct Case {
+            pack_slot_bits: usize,
+            items_replayed: u64,
+            packed_fallbacks: u64,
+            server_replays: u64,
+        }
+        let cases = [
+            Case { pack_slot_bits: 0, items_replayed: 1, packed_fallbacks: 0, server_replays: 1 },
+            Case { pack_slot_bits: 32, items_replayed: 0, packed_fallbacks: 1, server_replays: 3 },
+        ];
+        for case in cases {
+            let mut config = NetConfig::small_test(128);
+            config.pack_slot_bits = case.pack_slot_bits;
+            config.stall_window = Some(Duration::from_millis(200));
+            let (scaled, handle, mut session) = connected(&config);
+            assert_eq!(session.packing.is_some(), case.pack_slot_bits > 0);
+            session.rx = Box::new(LateOnce {
+                inner: std::mem::replace(&mut session.rx, Box::new(DeadHalf)),
+                delay: Some(Duration::from_millis(300)),
+            });
+
+            let inputs = three_inputs();
+            let (outputs, _) = session.infer_stream(&inputs).expect("the stall is recovered");
+            for (input, got) in inputs.iter().zip(&outputs) {
+                let want = scaled.forward_scaled(&scaled.scale_input(input)).expect("reference");
+                assert_eq!(got.data(), want.data());
+            }
+            let transport = session.shutdown();
+            assert!(transport.clean_shutdown);
+            assert_eq!(transport.stalls, 1, "packed: {}", case.pack_slot_bits > 0);
+            assert_eq!(transport.reconnects, 1);
+            assert_eq!(transport.items_replayed, case.items_replayed);
+            assert_eq!(transport.packed_fallbacks, case.packed_fallbacks);
+            assert_eq!(transport.packed_items, 0, "a resumed connection runs unpacked");
+
+            let report = handle.shutdown();
+            assert_eq!(report.resumed_sessions, 1);
+            assert_eq!(report.replayed_items, case.server_replays);
+            assert_eq!(report.requests, 3);
+        }
     }
 
     #[test]

@@ -3,18 +3,16 @@
 //!
 //! One served connection is a state machine over decoded frames: opening
 //! frame -> `open_conn`, every later frame -> `on_frame`, and each
-//! linear-round execution -> `run_job` + `on_exec_done`. The blocking
-//! `handle_conn` shell and the readiness event loop both run this exact
-//! machine, so the two cannot drift apart semantically —
-//! the event loop only changes *when* frames arrive and *where* jobs
-//! execute (inline on a shard, or coalesced across sessions in the
-//! batcher), never what they mean.
+//! linear-round execution -> `run_job` + `on_exec_done`. The event loop
+//! in `driver.rs` is the one driver of this machine: it decides *when*
+//! frames arrive and *where* jobs execute (inline on a shard, or
+//! coalesced across sessions in the batcher), never what they mean.
 
 use super::report::ServeReport;
 use super::server::ModelProvider;
 use crate::encapsulate::{MergedStage, StageRole};
 use crate::messages::{
-    AcceptMsg, AckMsg, EncTensorMsg, HelloMsg, ItemErrorKind, ItemErrorMsg, MsgTag,
+    shape_holds, AcceptMsg, AckMsg, EncTensorMsg, HelloMsg, ItemErrorKind, ItemErrorMsg, MsgTag,
     PackedTensorMsg, RejectMsg, ResumeMsg, PROTOCOL_VERSION,
 };
 use crate::packed::{self, PACKED_PERM_BIT};
@@ -133,26 +131,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// An outbound reply produced by the state machine, queued by the
-/// driver. Byte/frame counters are charged when the reply is built.
-pub(super) struct Reply {
-    pub(super) payload: Bytes,
-    /// Stage context attached to a transport error if the send fails.
-    pub(super) context: String,
-    /// Reject frames are fire-and-forget — the peer may already be gone
-    /// and a send failure must not fail the server-side bookkeeping.
-    pub(super) best_effort: bool,
-}
-
-impl Reply {
-    /// Encodes `msg` as a reply the peer must receive, and charges it
-    /// to the byte/frame counters.
-    fn new<T: WireEncode>(report: &mut ServeReport, msg: &T, context: String) -> Reply {
-        let payload = to_frame(msg);
-        report.bytes_out += payload.len() as u64;
-        report.frames_out += 1;
-        Reply { payload, context, best_effort: false }
-    }
+/// Encodes `msg` as an outbound reply for the driver to queue, and
+/// charges it to the byte/frame counters.
+fn reply<T: WireEncode>(report: &mut ServeReport, msg: &T) -> Bytes {
+    let payload = to_frame(msg);
+    report.bytes_out += payload.len() as u64;
+    report.frames_out += 1;
+    payload
 }
 
 /// Per-connection serving state after an accepted Hello/Resume.
@@ -176,16 +161,10 @@ pub(super) struct ConnState {
     pub(super) frame_ceiling: usize,
 }
 
-/// Outcome of absorbing a connection's opening frame.
-pub(super) enum Opened {
-    Serving(Box<ConnState>),
-    Rejected,
-}
-
 /// What the driver must do after the state machine absorbed one frame.
 pub(super) enum FrameDisposition {
     /// Send these replies (possibly none) and keep reading.
-    Continue(Vec<Reply>),
+    Continue(Vec<Bytes>),
     /// Run this linear-round job, then feed the outcome back through
     /// [`ModelProvider::on_exec_done`].
     Execute(ExecJob),
@@ -262,22 +241,32 @@ impl ModelProvider {
     /// must fit the key and cover this model's op budget, else the
     /// stream stays per-item), a valid Resume revives one (always
     /// unpacked: replay bookkeeping is per-item, and a resume already
-    /// signals a degraded path). Anything else is rejected. The
-    /// returned replies carry the Accept or Reject frame.
-    pub(super) fn open_conn(&self, payload: Bytes, report: &mut ServeReport) -> (Vec<Reply>, Opened) {
+    /// signals a degraded path). Anything else is rejected. Returns the
+    /// Accept or Reject frame, and the serving state when accepted.
+    pub(super) fn open_conn(
+        &self,
+        payload: Bytes,
+        report: &mut ServeReport,
+    ) -> (Bytes, Option<Box<ConnState>>) {
+        match self.try_open(payload, report) {
+            Ok((accept, conn)) => (accept, Some(Box::new(conn))),
+            Err(reason) => (self.reject_reply(report, &reason), None),
+        }
+    }
+
+    /// The accepting half of [`Self::open_conn`]; `Err` is the reason
+    /// the Reject names.
+    fn try_open(
+        &self,
+        payload: Bytes,
+        report: &mut ServeReport,
+    ) -> Result<(Bytes, ConnState), String> {
         match crate::messages::peek_tag(&payload) {
             Some(MsgTag::Hello) => {
-                let hello: HelloMsg = match from_frame(payload) {
-                    Ok(h) => h,
-                    Err(_) => {
-                        return (
-                            vec![self.reject_reply(report, "malformed hello frame")],
-                            Opened::Rejected,
-                        )
-                    }
-                };
+                let hello: HelloMsg =
+                    from_frame(payload).map_err(|_| "malformed hello frame".to_string())?;
                 if let Some(reason) = self.validate_hello(&hello) {
-                    return (vec![self.reject_reply(report, &reason)], Opened::Rejected);
+                    return Err(reason);
                 }
                 let pk = PublicKey::from_n(BigUint::from_bytes_be(&hello.pk_n));
                 let packing = self.negotiate_packing(&hello, &pk);
@@ -290,45 +279,26 @@ impl ModelProvider {
                     session,
                     packing.map_or(0, |s| s.slot_bits as u32),
                 );
-                let conn = self.conn_state(session, &pk, pk_n_len, packing);
-                (vec![accept], Opened::Serving(Box::new(conn)))
+                Ok((accept, self.conn_state(session, &pk, pk_n_len, packing)))
             }
             Some(MsgTag::Resume) => {
-                let resume: ResumeMsg = match from_frame(payload) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        return (
-                            vec![self.reject_reply(report, "malformed resume frame")],
-                            Opened::Rejected,
-                        )
-                    }
-                };
+                let resume: ResumeMsg =
+                    from_frame(payload).map_err(|_| "malformed resume frame".to_string())?;
                 if resume.version != PROTOCOL_VERSION {
-                    let reason = format!(
+                    return Err(format!(
                         "protocol version mismatch: server speaks {PROTOCOL_VERSION}, \
                          client {}",
                         resume.version
-                    );
-                    return (vec![self.reject_reply(report, &reason)], Opened::Rejected);
+                    ));
                 }
                 let entry =
-                    match self.sessions.resume(resume.session, resume.items_done, resume.topology)
-                    {
-                        Ok(entry) => entry,
-                        Err(reason) => {
-                            return (vec![self.reject_reply(report, &reason)], Opened::Rejected)
-                        }
-                    };
+                    self.sessions.resume(resume.session, resume.items_done, resume.topology)?;
                 report.resumed_sessions += 1;
                 let pk = PublicKey::from_n(BigUint::from_bytes_be(&entry.pk_n));
                 let accept = self.accept_reply(report, entry.pk_fingerprint, resume.session, 0);
-                let conn = self.conn_state(resume.session, &pk, entry.pk_n.len(), None);
-                (vec![accept], Opened::Serving(Box::new(conn)))
+                Ok((accept, self.conn_state(resume.session, &pk, entry.pk_n.len(), None)))
             }
-            _ => (
-                vec![self.reject_reply(report, "first frame was neither hello nor resume")],
-                Opened::Rejected,
-            ),
+            _ => Err("first frame was neither hello nor resume".into()),
         }
     }
 
@@ -442,8 +412,7 @@ impl ModelProvider {
         }
         // The stage would panic on a shape/count mismatch; turn
         // attacker-reachable malformed input into an error instead.
-        let elems = msg.shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
-        if elems.map(|n| n as usize) != Some(msg.cts.len()) {
+        if !shape_holds(&msg.shape, msg.cts.len()) {
             let err = StreamError::Stage(format!(
                 "request {seq} round {round}: shape {:?} does not match {} ciphertexts",
                 msg.shape,
@@ -478,14 +447,13 @@ impl ModelProvider {
     /// Applies an executed job's outcome to its connection: advances the
     /// round bookkeeping and produces the reply — stage output, a
     /// quarantine refusal (panic trapped; the poison-item boundary), or
-    /// a packed abort. A stage *error* (not panic) fails the connection,
-    /// exactly as on the blocking path.
+    /// a packed abort. A stage *error* (not panic) fails the connection.
     pub(super) fn on_exec_done(
         &self,
         conn: &mut ConnState,
         done: JobDone,
         report: &mut ServeReport,
-    ) -> Result<Vec<Reply>, CoreError> {
+    ) -> Result<Vec<Bytes>, CoreError> {
         let n_linear = conn.execs.len();
         match done {
             JobDone::Item { seq, round, out: Ok(res) } => {
@@ -496,8 +464,7 @@ impl ModelProvider {
                 } else {
                     conn.next_round.insert(seq, round + 1);
                 }
-                let context = format!("linear-{round} reply for request {seq}");
-                Ok(vec![Reply::new(report, &out, context)])
+                Ok(vec![reply(report, &out)])
             }
             JobDone::Item { seq, out: Err(panic_payload), .. } => {
                 let detail = panic_message(panic_payload.as_ref());
@@ -520,8 +487,7 @@ impl ModelProvider {
                         conn.next_packed.insert(key, (out.seqs.clone(), round + 1));
                     }
                     report.packed_rounds += 1;
-                    let context = format!("packed linear-{round} reply for batch {key}");
-                    Ok(vec![Reply::new(report, &out, context)])
+                    Ok(vec![reply(report, &out)])
                 }
                 Err(e) => Ok(vec![self.packed_abort_reply(
                     conn,
@@ -543,12 +509,10 @@ impl ModelProvider {
     }
 
     /// Builds a Reject reply naming `reason` and counts the rejection.
-    /// Best-effort delivery — the client may already be gone.
-    fn reject_reply(&self, report: &mut ServeReport, reason: &str) -> Reply {
+    fn reject_reply(&self, report: &mut ServeReport, reason: &str) -> Bytes {
         report.rejected_handshakes += 1;
         report.last_error = Some(format!("rejected client: {reason}"));
-        let reject = RejectMsg::mismatch(reason);
-        Reply { best_effort: true, ..Reply::new(report, &reject, "handshake reject".into()) }
+        reply(report, &RejectMsg::mismatch(reason))
     }
 
     /// Builds a per-item error reply: the item fails, the session and
@@ -559,9 +523,8 @@ impl ModelProvider {
         seq: u64,
         kind: ItemErrorKind,
         detail: &str,
-    ) -> Reply {
-        let error = ItemErrorMsg { seq, kind, detail: detail.to_string() };
-        Reply::new(report, &error, format!("item-error reply for request {seq}"))
+    ) -> Bytes {
+        reply(report, &ItemErrorMsg { seq, kind, detail: detail.to_string() })
     }
 
     fn accept_reply(
@@ -570,7 +533,7 @@ impl ModelProvider {
         pk_fingerprint: u64,
         session: u64,
         pack_slot_bits: u32,
-    ) -> Reply {
+    ) -> Bytes {
         let accept = AcceptMsg {
             version: PROTOCOL_VERSION,
             pk_fingerprint,
@@ -578,7 +541,7 @@ impl ModelProvider {
             session,
             pack_slot_bits,
         };
-        Reply::new(report, &accept, "handshake accept".into())
+        reply(report, &accept)
     }
 
     /// Accepts the client's proposed packing layout only when it fits
@@ -641,8 +604,7 @@ impl ModelProvider {
         {
             abort!("packed layout differs from the negotiated spec");
         }
-        let elems = msg.shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
-        if elems.map(|n| n as usize) != Some(msg.cts.len()) {
+        if !shape_holds(&msg.shape, msg.cts.len()) {
             abort!("packed shape does not match the ciphertext count");
         }
 
@@ -710,7 +672,7 @@ impl ModelProvider {
         report: &mut ServeReport,
         key: u64,
         detail: &str,
-    ) -> Reply {
+    ) -> Bytes {
         conn.next_packed.remove(&key);
         if let Some(exec0) = conn.execs.first() {
             let packed_key = key | PACKED_PERM_BIT;

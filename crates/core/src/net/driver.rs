@@ -1,19 +1,20 @@
 //! The serving event loop of DESIGN.md §9: one acceptor thread plus
 //! `max_workers` shard threads, each multiplexing its share of
 //! nonblocking connections over a [`Poller`]. Every connection runs
-//! the same state machine as the blocking `handle_conn` shell
+//! the sans-IO state machine of `conn.rs`
 //! (`open_conn`/`on_frame`/`on_exec_done`); the loop only decides
 //! *when* frames are absorbed and *where* admitted jobs execute —
 //! inline on the shard, or coalesced with other sessions' jobs by
 //! the gather-window batcher.
 
 use super::config::ServeOptions;
-use super::conn::{run_job, ConnState, ExecJob, FrameDisposition, JobDone, Opened, Reply};
+use super::conn::{run_job, ConnState, ExecJob, FrameDisposition, JobDone};
 use super::report::ServeReport;
-use super::server::{io_failure, ModelProvider};
+use super::server::ModelProvider;
 use crate::evloop::{FrameReader, Poller, Waker, WriteBuf};
 use crate::messages::RejectMsg;
 use crate::CoreError;
+use bytes::Bytes;
 use parking_lot::Mutex;
 use pp_stream_runtime::link::Frame;
 use pp_stream_runtime::wire::to_frame;
@@ -40,6 +41,11 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// shards' connections start above it.
 const WAKER_TOKEN: u64 = 0;
 const LISTENER_TOKEN: u64 = 1;
+
+/// A socket set-up failure as this crate's error.
+fn io_failure(kind: TransportErrorKind, what: &str, e: std::io::Error) -> CoreError {
+    CoreError::from(StreamError::transport(kind, format!("{what}: {e}")))
+}
 
 /// Handle on a running [`ModelProvider::serve_forever`] loop.
 pub struct ServerHandle {
@@ -134,9 +140,9 @@ struct EvConn {
 }
 
 impl EvConn {
-    fn queue(&mut self, replies: &[Reply]) {
-        for r in replies {
-            self.wbuf.queue(&r.payload);
+    fn queue(&mut self, replies: &[Bytes]) {
+        for payload in replies {
+            self.wbuf.queue(payload);
         }
     }
 
@@ -244,7 +250,7 @@ impl Shard {
             EvConn {
                 stream,
                 reader,
-                wbuf: WriteBuf::new(),
+                wbuf: WriteBuf::default(),
                 phase,
                 want_write: false,
                 holds_slot,
@@ -314,7 +320,14 @@ impl Shard {
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    let e = self.provider.classify_recv(e, &mut self.report);
+                    // A peer claimed a frame above its ceiling: an
+                    // adversarial-peer event operators watch for.
+                    if matches!(
+                        e,
+                        StreamError::Transport { kind: TransportErrorKind::FrameLimit, .. }
+                    ) {
+                        self.report.oversize_frames += 1;
+                    }
                     return self.fail_stream(token, e);
                 }
             }
@@ -340,17 +353,17 @@ impl Shard {
         self.report.frames_in += 1;
         self.report.bytes_in += frame.payload.len() as u64;
         let EvPhase::Serving(state) = &mut conn.phase else {
-            let (replies, opened) = self.provider.open_conn(frame.payload, &mut self.report);
-            conn.queue(&replies);
+            let (reply, opened) = self.provider.open_conn(frame.payload, &mut self.report);
+            conn.wbuf.queue(&reply);
             match opened {
-                Opened::Serving(state) => {
+                Some(state) => {
                     // Handshake accepted: raise the frame ceiling
                     // from the pre-auth cap to what this connection
                     // legitimately negotiated.
                     conn.reader.set_max_frame(state.frame_ceiling);
                     conn.phase = EvPhase::Serving(state);
                 }
-                Opened::Rejected => conn.close_after_flush = true,
+                None => conn.close_after_flush = true,
             }
             return true;
         };
@@ -374,7 +387,7 @@ impl Shard {
                         })
                 }
                 // No gather window: execute inline on the provider
-                // pool, exactly like the blocking shell.
+                // pool.
                 None => {
                     let t0 = Instant::now();
                     let done = run_job(job, &self.provider.pool);
@@ -417,14 +430,14 @@ impl Shard {
     }
 
     /// Resolves a half-closed peer once nothing is pending, then
-    /// flushes. EOF at a frame boundary mirrors the blocking
-    /// shell: before the first frame it's a refused handshake,
-    /// mid-session it's a silent drop (session stays resumable),
-    /// and mid-frame it's a failed connection.
+    /// flushes. EOF at a frame boundary: before the first frame
+    /// it's a refused handshake, mid-session it's a silent drop
+    /// (session stays resumable); mid-frame it's a failed connection.
     fn after_read(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         if conn.read_eof && !conn.exec_inflight && !conn.close_after_flush {
-            if conn.reader.has_partial() {
+            // Unconsumed bytes at EOF are the front of a frame.
+            if conn.reader.buffered_len() > 0 {
                 let e = StreamError::transport(
                     TransportErrorKind::Eof,
                     "connection closed mid-frame",
@@ -462,8 +475,7 @@ impl Shard {
     }
 
     /// Closes every connection whose peer stayed silent past its
-    /// read deadline — for a served connection, what the blocking
-    /// shell's `recv` timeout is.
+    /// read deadline.
     fn sweep_read_deadlines(&mut self) {
         let now = Instant::now();
         let expired: Vec<u64> = self
@@ -482,10 +494,9 @@ impl Shard {
     }
 
     /// Ends a connection on a transport error. A served connection
-    /// fails, the error labelled like the blocking shell's
-    /// `at_stage` contexts by what the connection was waiting for
-    /// (its session stays resumable); a busy rejection, or one only
-    /// waiting to flush a farewell, is best-effort and closes
+    /// fails, the error labelled by what the connection was waiting
+    /// for (its session stays resumable); a busy rejection, or one
+    /// only waiting to flush a farewell, is best-effort and closes
     /// silently.
     fn fail_stream(&mut self, token: u64, e: StreamError) {
         let stage = match self.conns.get(&token) {

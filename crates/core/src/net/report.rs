@@ -71,8 +71,7 @@ pub struct TransportReport {
 }
 
 /// Server-side statistics, aggregated over every connection a
-/// [`ModelProvider::serve_listener`] or [`ModelProvider::serve_forever`]
-/// call handled.
+/// [`ModelProvider::serve_forever`] call handled.
 #[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     /// Inference request streams completed (a replayed item counts each

@@ -79,6 +79,17 @@ pub(crate) fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seed of the input-pool refill for the stream call whose first item
+/// is `first_item` (the session's items-done count when the call
+/// starts) — the one seeding rule of both sessions. It must differ
+/// between calls: under one seed the k-th input element of every call
+/// would be blinded by the same factor, and the quotient of two such
+/// ciphertexts is `1 + (x_k − x'_k)·n` — the plaintext difference,
+/// readable by the model provider.
+pub(crate) fn refill_seed(encrypt_seed: u64, first_item: u64) -> u64 {
+    mix(encrypt_seed ^ 0x5EED ^ mix(first_item))
+}
+
 pub(crate) fn shape_to_wire(shape: &Shape) -> Vec<u64> {
     shape.dims().iter().map(|&d| d as u64).collect()
 }
@@ -1131,5 +1142,26 @@ mod tests {
         let mut cx = StageContext::new(&pool, &metrics);
         let err = FinalNonLinearStage(nl).process(msg, &mut cx).unwrap_err();
         assert!(matches!(&err, StreamError::Stage(s) if s.contains("obfuscated")), "{err}");
+    }
+
+    #[test]
+    fn consecutive_stream_calls_refill_from_disjoint_factors() {
+        // Two one-item calls start at items_done = 0 and 1. Their pool
+        // refills must share no factor, or the model provider could
+        // divide the two requests' ciphertexts element by element.
+        let encrypt_seed = 42 ^ 0x0E2C;
+        let (first, second) = (refill_seed(encrypt_seed, 0), refill_seed(encrypt_seed, 1));
+        assert_ne!(first, second);
+        assert_eq!(first, refill_seed(encrypt_seed, 0));
+
+        let (kp, workers) = setup(5);
+        let factors = |seed| {
+            let mut pool = RandomnessPool::new(kp.public());
+            pool.refill_parallel(12, &workers, seed);
+            std::iter::from_fn(|| pool.take_factor()).collect::<Vec<_>>()
+        };
+        let (a, b) = (factors(first), factors(second));
+        assert_eq!(a.len(), 12);
+        assert!(a.iter().all(|f| !b.contains(f)), "a blinding factor repeats across calls");
     }
 }

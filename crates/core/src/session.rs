@@ -5,7 +5,9 @@
 use crate::encapsulate::{encapsulate_with, MergedStage, StageRole};
 use crate::messages::PlainTensorMsg;
 use crate::plan::{AllocationPlan, PlanSource};
-use crate::protocol::{plain_msg, FinalNonLinearStage, PartitionMode, StageChain, StageExec};
+use crate::protocol::{
+    plain_msg, refill_seed, FinalNonLinearStage, PartitionMode, StageChain, StageExec,
+};
 use crate::simulate::StageProfile;
 use crate::CoreError;
 use pp_allocate::{even_allocation, solve, Allocation, LayerLoad, Role, ServerSpec, SolveConfig};
@@ -16,6 +18,7 @@ use pp_stream_runtime::{PipelineBuilder, StageReport, WorkerPool};
 use pp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -124,6 +127,11 @@ pub struct PpStream {
     allocation: Allocation,
     plan: AllocationPlan,
     profile: Vec<f64>,
+    /// Items handed to earlier [`PpStream::infer_stream`] calls: the
+    /// next call's first request seq, and what its pool refill is
+    /// seeded from, so no two calls share a blinding factor or a
+    /// `(seed, seq)`-keyed re-encrypt stream.
+    items_done: AtomicU64,
 }
 
 impl PpStream {
@@ -144,6 +152,7 @@ impl PpStream {
             allocation: Allocation { threads: vec![], server_of: vec![], objective: 0.0 },
             plan: AllocationPlan::profiling_baseline(n_pipeline_stages),
             profile: vec![],
+            items_done: AtomicU64::new(0),
         };
         session.profile = session.profile_stages()?;
         let (allocation, source) = session.allocate()?;
@@ -348,6 +357,29 @@ impl PpStream {
         StageChain::new(&self.stages, &self.keypair, factor, seed, mode, rand_pool)
     }
 
+    /// Opens a stream call of `items` requests: reserves their seqs and
+    /// builds fresh executors whose input pool holds one blinding factor
+    /// per element of the batch — the exponentiations run across the
+    /// encrypt stage's thread allocation, off the request path, over the
+    /// process-wide fixed-base table of the key. Returns the call's
+    /// first seq, the executors and the pool.
+    fn begin_call(
+        &self,
+        items: usize,
+        mode: PartitionMode,
+    ) -> (u64, StageChain, Arc<Mutex<RandomnessPool>>) {
+        let first_item = self.items_done.fetch_add(items as u64, Ordering::Relaxed);
+        let pk = self.keypair.public();
+        let base = pp_paillier::shared_refill_cache().get(&pk);
+        let rand_pool = Arc::new(Mutex::new(RandomnessPool::with_base(pk, base)));
+        let execs = self.chain(mode, Some(Arc::clone(&rand_pool)));
+        let need = items * self.scaled.input_shape().len();
+        let workers = WorkerPool::new(self.plan.threads_for(0));
+        let seed = refill_seed(execs.encrypt.seed, first_item);
+        rand_pool.lock().refill_parallel(need, &workers, seed);
+        (first_item, execs, rand_pool)
+    }
+
     /// Streams a batch of inference requests through the pipeline,
     /// returning the scaled output tensors (at scale `F`) and the run
     /// report.
@@ -363,20 +395,7 @@ impl PpStream {
         } else {
             PartitionMode::None
         };
-        // Precompute one r^n blinding factor per element of the batch
-        // before the stream starts — the exponentiations run across the
-        // encrypt stage's thread allocation, off the request path. The
-        // fixed-base table comes from the process-wide cache so repeat
-        // sessions under one key skip the comb precomputation entirely.
-        let pk = self.keypair.public();
-        let base = pp_paillier::shared_refill_cache().get(&pk);
-        let rand_pool = Arc::new(Mutex::new(RandomnessPool::with_base(pk, base)));
-        {
-            let need = inputs.len() * self.scaled.input_shape().len();
-            let workers = WorkerPool::new(self.plan.threads_for(0));
-            rand_pool.lock().refill_parallel(need, &workers, self.config.seed ^ 0x5EED);
-        }
-        let execs = self.chain(mode, Some(Arc::clone(&rand_pool)));
+        let (first_item, execs, rand_pool) = self.begin_call(inputs.len(), mode);
 
         // Assemble the typed pipeline: the encrypt stage followed by one
         // protocol stage per merged stage. `.link()` marks the hops that
@@ -419,7 +438,7 @@ impl PpStream {
         let msgs: Vec<PlainTensorMsg> = inputs
             .iter()
             .enumerate()
-            .map(|(seq, input)| plain_msg(&self.scaled, seq as u64, input))
+            .map(|(j, input)| plain_msg(&self.scaled, first_item + j as u64, input))
             .collect();
 
         let (out_msgs, stats) = pipeline.process_stream(msgs)?;
@@ -513,6 +532,30 @@ mod tests {
         let (outputs, _) = session.infer_stream(std::slice::from_ref(&input)).unwrap();
         let want = session.scaled.forward_scaled(&session.scaled.scale_input(&input)).unwrap();
         assert_eq!(outputs[0].data(), want.data());
+    }
+
+    #[test]
+    fn two_calls_with_the_same_input_share_no_blinding_factor() {
+        // Every element equal, so two ciphertexts are equal exactly when
+        // their blinding factors are: a repeat across (or within) calls
+        // would let the model provider divide two requests and read the
+        // plaintext difference.
+        let (_, session) = small_session(8);
+        let input = Tensor::from_flat(vec![0.5; 4]);
+        session.infer_stream(std::slice::from_ref(&input)).unwrap();
+
+        let pool = WorkerPool::new(2);
+        let mut seen = std::collections::HashSet::new();
+        for call in 1..3 {
+            let (first_item, execs, _) = session.begin_call(1, PartitionMode::Partitioned);
+            assert_eq!(first_item, call, "each call starts where the last one ended");
+            let msg = execs.encrypt.encrypt(plain_msg(&session.scaled, first_item, &input), &pool);
+            assert_eq!(msg.seq, first_item);
+            for ct in msg.cts {
+                assert!(seen.insert(ct), "a blinding factor repeats across calls");
+            }
+        }
+        assert_eq!(seen.len(), 8);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! same generator the fault plan uses), so a CI failure replays exactly
 //! with `PP_FUZZ_SEED=<seed>` — no corpus files, no new dependencies.
 
-use crate::link::{Frame, NO_DEADLINE};
+use crate::link::{encode_header, Frame, NO_DEADLINE};
 
 /// SplitMix64 — the same mixer the fault layer uses for seeded
 /// decisions: cheap, and every output bit depends on every input bit.
@@ -58,10 +58,9 @@ impl RawFrame {
     /// prefix (the payload bytes stay truthful), which is how the
     /// inflated-prefix mutation is expressed.
     pub fn encode_into(&self, out: &mut Vec<u8>, lie: Option<u32>) {
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.deadline_ms.to_le_bytes());
+        let deadline = (self.deadline_ms != NO_DEADLINE).then_some(self.deadline_ms);
         let len = lie.unwrap_or(self.payload.len() as u32);
-        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&encode_header(self.seq, deadline, len));
         out.extend_from_slice(&self.payload);
     }
 }

@@ -38,9 +38,6 @@
 //! assert_eq!(stats.link_bytes, vec![0, 8, 0]);
 //! assert_eq!(stats.stages.len(), 2);
 //! ```
-//!
-//! The legacy closure-based [`Pipeline`]/[`StageSpec`] API remains as a
-//! shim over the typed engine with every hop a wire boundary.
 
 pub mod chan;
 #[cfg(feature = "fault-injection")]
@@ -59,7 +56,7 @@ pub use fault::{FaultPlan, FaultReceiver, FaultSender, FaultState};
 #[cfg(feature = "fault-injection")]
 pub use fuzz::{Mutation, RawFrame, WireFuzzer};
 pub use link::{Link, LinkStats, SeqValidator};
-pub use pipeline::{BoxMsg, Pipeline, PipelineBuilder, PipelineStats, StageSpec, TypedPipeline};
+pub use pipeline::{BoxMsg, PipelineBuilder, PipelineStats, TypedPipeline};
 pub use pool::WorkerPool;
 pub use stage::{stage_fn, FnStage, Stage, StageContext, StageMetrics, StageReport};
 pub use tcp::{FrameReceiver, FrameSender, RetryPolicy, TcpConfig, TcpFrameReceiver, TcpFrameSender};

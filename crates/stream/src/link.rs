@@ -31,6 +31,28 @@ pub struct Frame {
     pub payload: Bytes,
 }
 
+/// Bytes in front of every payload on the wire:
+/// `seq: u64 LE | deadline_ms: u64 LE | len: u32 LE`.
+pub const HEADER_LEN: usize = 20;
+
+/// The wire header of a frame whose payload is `len` bytes; no deadline
+/// travels as [`NO_DEADLINE`].
+pub fn encode_header(seq: u64, deadline_ms: Option<u64>, len: u32) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[0..8].copy_from_slice(&seq.to_le_bytes());
+    h[8..16].copy_from_slice(&deadline_ms.unwrap_or(NO_DEADLINE).to_le_bytes());
+    h[16..20].copy_from_slice(&len.to_le_bytes());
+    h
+}
+
+/// Inverse of [`encode_header`]: `(seq, deadline_ms, payload length)`.
+pub fn decode_header(h: &[u8; HEADER_LEN]) -> (u64, Option<u64>, usize) {
+    let seq = u64::from_le_bytes(h[0..8].try_into().expect("8 bytes"));
+    let deadline = u64::from_le_bytes(h[8..16].try_into().expect("8 bytes"));
+    let len = u32::from_le_bytes(h[16..20].try_into().expect("4 bytes"));
+    (seq, (deadline != NO_DEADLINE).then_some(deadline), len as usize)
+}
+
 impl Frame {
     /// A frame with no deadline.
     pub fn new(seq: u64, payload: Bytes) -> Self {
@@ -368,6 +390,16 @@ mod tests {
         assert_eq!(stats.depth(), 1);
         // The high-water mark is sticky.
         assert_eq!(stats.max_depth(), 3);
+    }
+
+    #[test]
+    fn header_roundtrips_with_and_without_a_deadline() {
+        let h = encode_header(0x0102, Some(250), 7);
+        assert_eq!(h.len(), HEADER_LEN);
+        assert_eq!(decode_header(&h), (0x0102, Some(250), 7));
+        assert_eq!(decode_header(&encode_header(9, None, 0)), (9, None, 0));
+        // The sentinel is the encoding of "none", whoever wrote it.
+        assert_eq!(decode_header(&encode_header(9, Some(NO_DEADLINE), 0)).1, None);
     }
 
     #[test]

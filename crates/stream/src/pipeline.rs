@@ -10,10 +10,6 @@
 //! receiver thread — the cost a real deployment pays between servers).
 //! Hops *not* marked with `.link()` hand the owned message over directly,
 //! so co-located stages skip serialization entirely.
-//!
-//! The legacy closure-based [`Pipeline`]/[`StageSpec`] API is kept as a
-//! thin shim over the typed engine with every hop a wire boundary,
-//! preserving its original byte-accounting semantics.
 
 use crate::pool::WorkerPool;
 use crate::stage::{Stage, StageContext, StageMetrics, StageReport};
@@ -604,159 +600,34 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".into())
 }
 
-/// A stage handler in the legacy closure API: transforms one serialized
-/// frame payload into the next stage's payload, using the stage's worker
-/// pool for data parallelism.
-pub type StageFn =
-    Box<dyn Fn(Bytes, &WorkerPool) -> Result<Bytes, StreamError> + Send + Sync + 'static>;
-
-/// Specification of one legacy (frame → frame) pipeline stage. Also a
-/// [`Stage`] over `Bytes`, so specs drop into typed chains.
-pub struct StageSpec {
-    /// Human-readable name (e.g. `"linear-0 @ model-server-1"`).
-    pub name: String,
-    /// Worker threads for intra-stage tensor parallelism (`y_i`).
-    pub threads: usize,
-    /// The stage computation.
-    pub handler: StageFn,
-}
-
-impl StageSpec {
-    /// Convenience constructor.
-    pub fn new(
-        name: impl Into<String>,
-        threads: usize,
-        handler: impl Fn(Bytes, &WorkerPool) -> Result<Bytes, StreamError> + Send + Sync + 'static,
-    ) -> Self {
-        StageSpec { name: name.into(), threads, handler: Box::new(handler) }
-    }
-}
-
-impl Stage for StageSpec {
-    type In = Bytes;
-    type Out = Bytes;
-
-    fn process(&self, msg: Bytes, cx: &mut StageContext) -> Result<Bytes, StreamError> {
-        (self.handler)(msg, cx.pool())
-    }
-}
-
-/// Legacy chain of frame → frame stages: a shim over [`TypedPipeline`]
-/// with *every* hop a wire boundary, so each of the `n_stages + 1` hops
-/// counts its frame bytes exactly as the original link-based runtime did.
-pub struct Pipeline {
-    stages: Vec<Arc<StageSpec>>,
-    /// In-flight frames per hop before backpressure.
-    capacity: usize,
-}
-
-impl Pipeline {
-    /// Builds a pipeline from stage specs.
-    pub fn new(stages: Vec<StageSpec>) -> Result<Self, StreamError> {
-        if stages.is_empty() {
-            return Err(StreamError::Config("pipeline needs at least one stage".into()));
-        }
-        Ok(Pipeline { stages: stages.into_iter().map(Arc::new).collect(), capacity: 4 })
-    }
-
-    /// Overrides the per-hop buffering capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Streams `inputs` through the pipeline; see
-    /// [`TypedPipeline::process_stream`].
-    pub fn process_stream(
-        &mut self,
-        inputs: Vec<Bytes>,
-    ) -> Result<(Vec<Bytes>, PipelineStats), StreamError> {
-        let mut builder =
-            PipelineBuilder::<Bytes, Bytes>::new().with_capacity(self.capacity).link();
-        for spec in &self.stages {
-            builder =
-                builder.stage(spec.name.clone(), spec.threads, Arc::clone(spec)).link();
-        }
-        builder.build()?.process_stream(inputs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stage::stage_fn;
-    use crate::wire::{from_frame, to_frame};
 
-    fn passthrough(name: &str) -> StageSpec {
-        StageSpec::new(name, 1, |payload, _| Ok(payload))
-    }
-
-    #[test]
-    fn identity_pipeline_preserves_frames() {
-        let mut p = Pipeline::new(vec![passthrough("a"), passthrough("b")]).unwrap();
-        let inputs: Vec<Bytes> = (0..5u64).map(|i| to_frame(&i)).collect();
-        let (outputs, stats) = p.process_stream(inputs).unwrap();
-        assert_eq!(outputs.len(), 5);
-        for (i, out) in outputs.iter().enumerate() {
-            let v: u64 = from_frame(out.clone()).unwrap();
-            assert_eq!(v, i as u64);
-        }
-        assert_eq!(stats.latencies.len(), 5);
-        assert_eq!(stats.link_bytes.len(), 3);
-        assert!(stats.total_bytes() > 0);
-    }
-
-    #[test]
-    fn stages_transform_in_order() {
-        let double = StageSpec::new("double", 1, |payload, _| {
-            let v: u64 = from_frame(payload)?;
-            Ok(to_frame(&(v * 2)))
-        });
-        let inc = StageSpec::new("inc", 1, |payload, _| {
-            let v: u64 = from_frame(payload)?;
-            Ok(to_frame(&(v + 1)))
-        });
-        let mut p = Pipeline::new(vec![double, inc]).unwrap();
-        let (outputs, _) = p.process_stream(vec![to_frame(&10u64)]).unwrap();
-        let v: u64 = from_frame(outputs[0].clone()).unwrap();
-        assert_eq!(v, 21);
+    fn sleepy(ms: u64) -> impl Stage<In = u64, Out = u64> {
+        stage_fn(move |v: u64, _: &mut StageContext| {
+            std::thread::sleep(Duration::from_millis(ms));
+            Ok(v)
+        })
     }
 
     #[test]
     fn empty_pipeline_rejected() {
-        assert!(Pipeline::new(vec![]).is_err());
         assert!(PipelineBuilder::<u64, u64>::new().build().is_err());
-    }
-
-    #[test]
-    fn worker_pool_usable_from_stage() {
-        let stage = StageSpec::new("parallel", 4, |payload, pool| {
-            let v: Vec<i64> = from_frame(payload)?;
-            let n = v.len();
-            let v = std::sync::Arc::new(v);
-            let out = pool.map_ranges(n, move |r| r.map(|i| v[i] * 3).collect::<Vec<i64>>());
-            Ok(to_frame(&out))
-        });
-        let mut p = Pipeline::new(vec![stage]).unwrap();
-        let (outputs, _) = p.process_stream(vec![to_frame(&vec![1i64, 2, 3, 4, 5])]).unwrap();
-        let v: Vec<i64> = from_frame(outputs[0].clone()).unwrap();
-        assert_eq!(v, vec![3, 6, 9, 12, 15]);
     }
 
     #[test]
     fn pipelining_overlaps_requests() {
         // Two stages each sleeping 30 ms: serial time for 4 requests would
         // be 240 ms; pipelined it is ~150 ms. Check makespan < serial.
-        let slow = |name: &str| {
-            StageSpec::new(name, 1, |payload, _| {
-                std::thread::sleep(Duration::from_millis(30));
-                Ok(payload)
-            })
-        };
-        let mut p = Pipeline::new(vec![slow("s1"), slow("s2")]).unwrap();
-        let inputs: Vec<Bytes> = (0..4u64).map(|i| to_frame(&i)).collect();
-        let (outputs, stats) = p.process_stream(inputs).unwrap();
-        assert_eq!(outputs.len(), 4);
+        let p = TypedPipeline::<u64, u64>::builder()
+            .stage("s1", 1, sleepy(30))
+            .stage("s2", 1, sleepy(30))
+            .build()
+            .unwrap();
+        let (outputs, stats) = p.process_stream((0..4).collect()).unwrap();
+        assert_eq!(outputs, vec![0, 1, 2, 3]);
         assert!(
             stats.makespan < Duration::from_millis(220),
             "makespan {:?} shows no overlap",
@@ -766,32 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_error_stops_pipeline_cleanly() {
-        let ok = StageSpec::new("ok", 1, |payload, _| Ok(payload));
-        let failing = StageSpec::new("boom", 1, |payload, _| {
-            let v: u64 = from_frame(payload)?;
-            if v == 2 {
-                Err(crate::StreamError::Decode("poisoned frame".into()))
-            } else {
-                Ok(to_frame(&v))
-            }
-        });
-        let mut p = Pipeline::new(vec![ok, failing, passthrough("tail")]).unwrap();
-        let inputs: Vec<Bytes> = (0..5u64).map(|i| to_frame(&i)).collect();
-        let err = p.process_stream(inputs).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("boom"), "error should name the stage: {msg}");
-        assert!(msg.contains("poisoned frame"), "{msg}");
-    }
-
-    #[test]
     fn per_request_latency_recorded() {
-        let mut p = Pipeline::new(vec![StageSpec::new("s", 1, |payload, _| {
-            std::thread::sleep(Duration::from_millis(10));
-            Ok(payload)
-        })])
-        .unwrap();
-        let (_, stats) = p.process_stream(vec![to_frame(&1u64), to_frame(&2u64)]).unwrap();
+        let p = TypedPipeline::<u64, u64>::builder().stage("s", 1, sleepy(10)).build().unwrap();
+        let (_, stats) = p.process_stream(vec![1, 2]).unwrap();
+        assert_eq!(stats.latencies.len(), 2);
         for l in &stats.latencies {
             assert!(*l >= Duration::from_millis(9), "latency {l:?}");
         }

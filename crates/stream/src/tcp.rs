@@ -25,7 +25,7 @@
 //! of a connection carries strictly increasing `Frame.seq`, which
 //! [`TcpFrameSender::send_payload`] stamps automatically).
 
-use crate::link::{Frame, SeqValidator};
+use crate::link::{decode_header, encode_header, Frame, SeqValidator, HEADER_LEN};
 use crate::{StreamError, TransportErrorKind};
 use bytes::Bytes;
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
@@ -237,9 +237,6 @@ impl TcpFrameSender {
         let io = |e: std::io::Error| {
             io_err(TransportErrorKind::Send, &format!("tcp send (seq {})", frame.seq), &e)
         };
-        self.writer.write_all(&frame.seq.to_le_bytes()).map_err(io)?;
-        let deadline = frame.deadline_ms.unwrap_or(crate::link::NO_DEADLINE);
-        self.writer.write_all(&deadline.to_le_bytes()).map_err(io)?;
         let len = u32::try_from(frame.payload.len()).map_err(|_| {
             StreamError::transport(
                 TransportErrorKind::Send,
@@ -249,7 +246,7 @@ impl TcpFrameSender {
                 ),
             )
         })?;
-        self.writer.write_all(&len.to_le_bytes()).map_err(io)?;
+        self.writer.write_all(&encode_header(frame.seq, frame.deadline_ms, len)).map_err(io)?;
         self.writer.write_all(&frame.payload).map_err(io)?;
         self.writer.flush().map_err(io)?;
         self.next_seq = self.next_seq.max(frame.seq.wrapping_add(1));
@@ -317,28 +314,18 @@ impl TcpFrameReceiver {
         // First header byte read separately: a clean shutdown closes the
         // socket exactly here, which `read` reports as Ok(0). Any EOF
         // after this point is a mid-frame disconnect.
-        let mut seq_buf = [0u8; 8];
+        let mut header = [0u8; HEADER_LEN];
         let mut first = 0usize;
         while first == 0 {
-            match self.reader.read(&mut seq_buf[..1]) {
+            match self.reader.read(&mut header[..1]) {
                 Ok(0) => return Ok(None),
                 Ok(n) => first = n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(io_err(TransportErrorKind::Recv, "tcp recv (header)", &e)),
             }
         }
-        self.read_exact_mid_frame(&mut seq_buf[1..], "header (seq)")?;
-        let seq = u64::from_le_bytes(seq_buf);
-
-        let mut deadline_buf = [0u8; 8];
-        self.read_exact_mid_frame(&mut deadline_buf, "header (deadline)")?;
-        let deadline_raw = u64::from_le_bytes(deadline_buf);
-        let deadline_ms =
-            (deadline_raw != crate::link::NO_DEADLINE).then_some(deadline_raw);
-
-        let mut len_buf = [0u8; 4];
-        self.read_exact_mid_frame(&mut len_buf, "header (len)")?;
-        let len = u32::from_le_bytes(len_buf) as usize;
+        self.read_exact_mid_frame(&mut header[1..], "header")?;
+        let (seq, deadline_ms, len) = decode_header(&header);
         // Governor ceiling, checked before any allocation: an inflated
         // prefix must never force the process to reserve memory.
         if len > self.max_frame {
@@ -431,19 +418,6 @@ pub fn framed_with(
             max_frame: if config.max_frame == 0 { env_max_frame() } else { config.max_frame },
         },
     ))
-}
-
-/// Binds and accepts one peer (the server side of a provider link).
-pub fn accept_one(
-    addr: impl ToSocketAddrs,
-) -> Result<(TcpFrameSender, TcpFrameReceiver, std::net::SocketAddr), StreamError> {
-    let listener = TcpListener::bind(addr)
-        .map_err(|e| StreamError::transport(TransportErrorKind::Bind, format!("bind: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| StreamError::transport(TransportErrorKind::Bind, format!("local addr: {e}")))?;
-    let (tx, rx) = accept_on(&listener, &TcpConfig::new())?;
-    Ok((tx, rx, local))
 }
 
 /// Accepts one peer on an already-bound listener (lets callers bind

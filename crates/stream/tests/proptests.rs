@@ -1,9 +1,8 @@
 //! Property tests for the stream runtime: wire-codec roundtrips and
 //! pipeline order/content preservation.
 
-use bytes::Bytes;
 use pp_stream_runtime::wire::{from_frame, to_frame};
-use pp_stream_runtime::{Pipeline, StageSpec, WorkerPool};
+use pp_stream_runtime::{stage_fn, PipelineBuilder, StageContext, WorkerPool};
 use proptest::prelude::*;
 
 proptest! {
@@ -44,22 +43,21 @@ proptest! {
         values in proptest::collection::vec(any::<u64>(), 1..30),
         stages in 1usize..4,
     ) {
-        let specs: Vec<StageSpec> = (0..stages)
-            .map(|i| StageSpec::new(format!("s{i}"), 1, |payload, _| {
-                let v: u64 = from_frame(payload)?;
-                Ok(to_frame(&(v.wrapping_add(1))))
-            }))
-            .collect();
-        let mut p = Pipeline::new(specs).unwrap();
-        let frames: Vec<Bytes> = values.iter().map(to_frame).collect();
-        let (out, stats) = p.process_stream(frames).unwrap();
+        // Every hop a wire boundary, so each of the `stages + 1` hops
+        // serializes and counts its frames.
+        let mut builder = PipelineBuilder::<u64, u64>::new().link();
+        for i in 0..stages {
+            builder = builder
+                .stage(format!("s{i}"), 1, stage_fn(|v: u64, _: &mut StageContext| Ok(v.wrapping_add(1))))
+                .link();
+        }
+        let (out, stats) = builder.build().unwrap().process_stream(values.clone()).unwrap();
         prop_assert_eq!(out.len(), values.len());
-        for (orig, frame) in values.iter().zip(out) {
-            let v: u64 = from_frame(frame).unwrap();
+        for (orig, v) in values.iter().zip(out) {
             prop_assert_eq!(v, orig.wrapping_add(stages as u64));
         }
         prop_assert_eq!(stats.latencies.len(), values.len());
-        prop_assert_eq!(stats.link_bytes.len(), stages + 1);
+        prop_assert_eq!(stats.link_bytes, vec![8 * values.len() as u64; stages + 1]);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! the networked classifications equal the in-process pipeline's.
 
 use pp_nn::{zoo, ScaledModel};
-use pp_stream::{ModelProvider, NetConfig, NetworkedSession, PpStream, PpStreamConfig};
+use pp_stream::{
+    ModelProvider, NetConfig, NetworkedSession, PpStream, PpStreamConfig, ServeOptions,
+};
 use pp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,16 +38,9 @@ fn main() {
 
     // ---- Model provider: a TCP server owning the weights. ----
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || {
-        let report = provider.serve_listener(&listener).expect("serve");
-        println!(
-            "[model-provider] served {} requests, {} B in / {} B out, clean shutdown: {}",
-            report.requests, report.bytes_in, report.bytes_out, report.clean_shutdown
-        );
-        report
-    });
+    let provider = std::sync::Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
+    let server = provider.serve_forever(listener, ServeOptions::default()).expect("spawn server");
+    let addr = server.addr();
 
     // ---- Data provider: a TCP client owning the keys and the inputs. ----
     let mut session =
@@ -88,8 +83,15 @@ fn main() {
         "[data-provider] resilience: {} reconnects, {} items replayed, {} faults injected",
         final_report.reconnects, final_report.items_replayed, final_report.faults_injected,
     );
-    let server_report = server.join().expect("model provider thread");
-    assert!(server_report.clean_shutdown, "server must observe a clean EOF");
+    let server_report = server.shutdown();
+    println!(
+        "[model-provider] served {} requests, {} B in / {} B out, clean shutdown: {}",
+        server_report.requests,
+        server_report.bytes_in,
+        server_report.bytes_out,
+        server_report.clean_shutdown
+    );
+    assert!(server_report.clean_shutdown, "server must observe the client's Bye");
 
     // The networked deployment must compute the same function as the
     // in-process pipeline.

@@ -9,12 +9,11 @@
 //!
 //! The server owns the scaled weights and executes the linear stages
 //! homomorphically; it never sees the client's private key or any
-//! plaintext activation. By default it runs the supervised multi-client
-//! server: a bounded worker pool where a misbehaving client (garbage
-//! handshake, mid-stream disconnect, even a worker panic) is isolated to
-//! its own connection while everyone else keeps streaming. Pass `--once`
-//! to serve a single connection sequentially and exit (useful in
-//! scripts).
+//! plaintext activation. It runs the supervised multi-client server
+//! (`ModelProvider::serve_forever`, the one serving driver) until the
+//! process is killed: a misbehaving client (garbage handshake,
+//! mid-stream disconnect, even a worker panic) is isolated to its own
+//! connection while everyone else keeps streaming.
 //!
 //! Clients that lose their socket mid-stream reconnect and resume their
 //! session; the server keeps a bounded, TTL-evicted session table so
@@ -23,8 +22,7 @@
 //! Overload protection: set `PP_MAX_SESSIONS=n` to cap concurrent
 //! sessions — a connection over the cap is answered with
 //! `Reject { code: Busy }` and a retry hint instead of queueing, and
-//! clients back off and retry. Per-item counters (deadline expiries,
-//! quarantined poison items, load sheds) appear in the final report.
+//! clients back off and retry.
 //!
 //! Serving at scale: `PP_MAX_WORKERS=n` sets the event-loop shard count
 //! (connections are distributed round-robin across shards), and
@@ -45,7 +43,7 @@
 //! the weights) is what the two parties must share out of band.
 
 use pp_nn::{zoo, ScaledModel};
-use pp_stream::{JournalConfig, ModelProvider, NetConfig, ServeOptions, ServeReport};
+use pp_stream::{JournalConfig, ModelProvider, NetConfig, ServeOptions};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,42 +59,8 @@ fn demo_config() -> NetConfig {
     NetConfig { key_bits: 256, seed: 99, ..NetConfig::default() }
 }
 
-fn print_report(report: &ServeReport) {
-    println!(
-        "[model-provider] {} connections ({} resumed, {} rejected, {} busy-rejected, \
-         {} failed, {} panicked): {} requests ({} replayed), {} B in / {} B out, \
-         clean shutdown: {}",
-        report.connections,
-        report.resumed_sessions,
-        report.rejected_handshakes,
-        report.rejected_busy,
-        report.failed_connections,
-        report.panicked_connections,
-        report.requests,
-        report.replayed_items,
-        report.bytes_in,
-        report.bytes_out,
-        report.clean_shutdown
-    );
-    if report.deadline_expired + report.quarantined + report.shed > 0 {
-        println!(
-            "[model-provider] overload: {} deadline-expired, {} quarantined, {} shed",
-            report.deadline_expired, report.quarantined, report.shed
-        );
-    }
-    if let Some(err) = &report.last_error {
-        println!("[model-provider] last connection error: {err}");
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let once = args.iter().any(|a| a == "--once");
-    let addr = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7700".to_string());
+    let addr = std::env::args().nth(1).unwrap_or_else(|| "127.0.0.1:7700".to_string());
 
     let scaled = demo_model();
     let provider = ModelProvider::new(&scaled, &demo_config()).expect("provider");
@@ -116,17 +80,8 @@ fn main() {
         provider.topology()
     );
 
-    if once {
-        // Sequential single-connection mode for scripted runs.
-        match provider.serve_listener(&listener) {
-            Ok(report) => print_report(&report),
-            Err(e) => eprintln!("[model-provider] connection failed: {e}"),
-        }
-        return;
-    }
-
-    // Supervised multi-client mode: the event loop, each connection
-    // isolated, running until the process is killed.
+    // The event loop, each connection isolated, running until the
+    // process is killed.
     let defaults = ServeOptions::default();
     let options = ServeOptions {
         max_sessions: std::env::var("PP_MAX_SESSIONS").ok().and_then(|v| v.parse().ok()),

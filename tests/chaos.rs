@@ -13,7 +13,7 @@
 use pp_nn::{zoo, ScaledModel};
 use pp_stream::{
     FaultPlan, ItemErrorKind, ItemOutcome, ModelProvider, NetConfig, NetworkedSession, PpStream,
-    PpStreamConfig, ServeOptions,
+    PpStreamConfig, ServeOptions, ServerHandle,
 };
 use pp_stream_runtime::RetryPolicy;
 use pp_tensor::Tensor;
@@ -38,6 +38,16 @@ fn stream_inputs(n: u64) -> Vec<Tensor<f64>> {
         .collect()
 }
 
+/// A provider for `scaled` on the serving event loop, one shard:
+/// connections are served in arrival order, and a dropped one leaves its
+/// session for the next connect to resume.
+fn serve(scaled: &ScaledModel, config: &NetConfig) -> ServerHandle {
+    let provider = Arc::new(ModelProvider::new(scaled, config).expect("provider"));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let options = ServeOptions { max_workers: 1, ..ServeOptions::default() };
+    provider.serve_forever(listener, options).expect("spawn server")
+}
+
 fn fault_seed() -> u64 {
     std::env::var("PP_FAULT_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0x00C0_FFEE)
 }
@@ -51,10 +61,8 @@ fn kill_soak(kill_every: u64) {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), kill_every: Some(kill_every), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -72,7 +80,7 @@ fn kill_soak(kill_every: u64) {
     );
     assert!(report.transport.expect("transport stats").reconnects > 0);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert!(server_report.clean_shutdown);
     assert!(server_report.requests >= 200, "every item's linear rounds completed");
     assert!(server_report.resumed_sessions as u64 >= transport.reconnects);
@@ -117,17 +125,15 @@ fn chaos_kill_every_17_forces_replays() {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), kill_every: Some(17), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session = NetworkedSession::connect(addr, scaled, &config).expect("connect");
     session.infer_stream(&stream_inputs(20)).expect("inference");
     let transport = session.shutdown();
     assert!(transport.items_replayed > 0, "a mid-item kill must be replayed");
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert_eq!(server_report.replayed_items, transport.items_replayed);
 }
 
@@ -141,10 +147,8 @@ fn corrupt_frame_is_fatal_not_silent() {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), corrupt_every: Some(1), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session = NetworkedSession::connect(addr, scaled, &config).expect("connect");
     let err = session
@@ -161,7 +165,7 @@ fn corrupt_frame_is_fatal_not_silent() {
     let transport = session.shutdown();
     assert!(transport.clean_shutdown);
     assert!(transport.faults_injected > 0);
-    server.join().expect("server thread");
+    server.shutdown();
 }
 
 #[test]
@@ -181,10 +185,8 @@ fn chaos_stalled_reads_recovered_by_watchdog_soak() {
         ..Default::default()
     });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -199,7 +201,7 @@ fn chaos_stalled_reads_recovered_by_watchdog_soak() {
     );
     assert!(transport.items_replayed > 0, "a stalled round reply replays its item");
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert!(server_report.clean_shutdown);
     assert_eq!(
         server_report.replayed_items, transport.items_replayed,
@@ -292,10 +294,8 @@ fn chaos_poison_item_quarantined_stream_survives() {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), poison_seq: Some(13), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -322,7 +322,7 @@ fn chaos_poison_item_quarantined_stream_survives() {
         ItemOutcome::Done(_) => unreachable!("outcome 13 failed above"),
     }
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert!(server_report.clean_shutdown);
     assert_eq!(server_report.quarantined, transport.quarantined);
     assert_eq!(server_report.requests, 199, "the poisoned item's rounds never complete");
@@ -430,10 +430,8 @@ fn chaos_packed_kill_soak_bit_identical() {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), kill_every: Some(3), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -446,7 +444,7 @@ fn chaos_packed_kill_soak_bit_identical() {
     assert!(transport.reconnects > 0, "the kill schedule must actually fire");
     assert!(transport.faults_injected > 0);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert!(server_report.clean_shutdown);
     assert!(
         server_report.requests >= 60,
@@ -483,10 +481,8 @@ fn chaos_packed_poison_aborts_batch_and_quarantines_item() {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), poison_seq: Some(4), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -515,7 +511,7 @@ fn chaos_packed_poison_aborts_batch_and_quarantines_item() {
         ItemOutcome::Done(_) => unreachable!("outcome 4 failed above"),
     }
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert!(server_report.clean_shutdown);
     assert_eq!(server_report.packed_aborts, 1, "one abort for the poisoned batch");
     assert_eq!(server_report.quarantined, 1, "quarantine happens on the unpacked replay");
@@ -553,10 +549,8 @@ fn expired_session_rejects_resume() {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), kill_every: Some(3), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session = NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect");
     let err = session
@@ -574,7 +568,7 @@ fn expired_session_rejects_resume() {
     fresh.classify_stream(&stream_inputs(1)).expect("inference after the expired session");
     assert!(fresh.shutdown().clean_shutdown);
 
-    let report = server.join().expect("server thread");
+    let report = server.shutdown();
     assert!(report.rejected_handshakes >= 1, "the expired resume was rejected");
     assert!(report.clean_shutdown);
 }
@@ -592,10 +586,8 @@ fn chaos_resume_with_fixed_base_refill_is_deterministic() {
     config.fault =
         Some(FaultPlan { seed: fault_seed(), kill_every: Some(11), ..Default::default() });
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let hits_before = pp_paillier::shared_refill_cache().hits();
     let mut session =
@@ -608,7 +600,7 @@ fn chaos_resume_with_fixed_base_refill_is_deterministic() {
     // expected here — the point is that neither pooled (fixed-base) nor
     // fallback (inline r^n) blinding perturbs the decrypted stream.
     let _ = report.pool_misses;
-    server.join().expect("server thread");
+    server.shutdown();
 
     // Clean reference run, same seeds: the in-process pipeline derives
     // the same key, hits the same shared table, and must agree bit for

@@ -8,7 +8,7 @@ use pp_paillier::{Keypair, PublicKey, RandomnessPool};
 use pp_stream::messages::{AcceptMsg, HelloMsg, RejectMsg, PROTOCOL_VERSION};
 use pp_stream::{
     ItemErrorKind, ItemOutcome, ModelProvider, NetConfig, NetworkedSession, PpStream,
-    PpStreamConfig, RejectCode, ServeOptions,
+    PpStreamConfig, RejectCode, ServeOptions, ServerHandle,
 };
 use pp_stream_runtime::wire::{from_frame, to_frame};
 use pp_stream_runtime::{tcp, TcpConfig};
@@ -32,6 +32,14 @@ fn stream_inputs(n: u64, width: usize) -> Vec<Tensor<f64>> {
             )
         })
         .collect()
+}
+
+/// A provider for `scaled` on the serving event loop, one shard.
+fn serve(scaled: &ScaledModel, config: &NetConfig) -> ServerHandle {
+    let provider = std::sync::Arc::new(ModelProvider::new(scaled, config).expect("provider"));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let options = ServeOptions { max_workers: 1, ..ServeOptions::default() };
+    provider.serve_forever(listener, options).expect("spawn server")
 }
 
 #[test]
@@ -138,10 +146,8 @@ fn networked_loopback_matches_in_process_pipeline() {
     let scaled = mlp_model("loopback-mlp", &[6, 10, 3]);
     let config = NetConfig::small_test(128);
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -151,7 +157,7 @@ fn networked_loopback_matches_in_process_pipeline() {
     assert!(transport.frames_sent > 0 && transport.frames_received > 0);
     assert!(session.shutdown().clean_shutdown);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert_eq!(server_report.requests as usize, inputs.len());
     assert!(server_report.clean_shutdown, "server must observe a clean EOF");
 
@@ -175,10 +181,8 @@ fn packed_networked_stream_matches_unpacked_in_process() {
     let mut config = NetConfig::small_test(128);
     config.pack_slot_bits = 32; // 128-bit key → 3 slots per ciphertext
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -190,7 +194,7 @@ fn packed_networked_stream_matches_unpacked_in_process() {
     assert_eq!(transport.packed_fallbacks, 0, "a healthy run never falls back");
     assert!(session.shutdown().clean_shutdown);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert_eq!(server_report.requests, 5, "all members complete server-side");
     assert!(server_report.packed_rounds > 0);
     assert_eq!(server_report.packed_aborts, 0);
@@ -218,10 +222,8 @@ fn infeasible_packing_proposal_degrades_to_unpacked() {
     let mut config = NetConfig::small_test(128);
     config.pack_slot_bits = 8;
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -232,7 +234,7 @@ fn infeasible_packing_proposal_degrades_to_unpacked() {
     assert_eq!(transport.packed_fallbacks, 0, "declining is not a fallback");
     assert!(session.shutdown().clean_shutdown);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert_eq!(server_report.requests as usize, inputs.len());
     assert_eq!(server_report.packed_rounds, 0);
 
@@ -289,10 +291,8 @@ fn topology_mismatch_is_rejected_and_server_keeps_serving() {
     let client_model = mlp_model("client-mlp", &[6, 8, 3]);
     let config = NetConfig::small_test(128);
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&server_model, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener));
+    let server = serve(&server_model, &config);
+    let addr = server.addr();
 
     let err = NetworkedSession::connect(addr, client_model, &config)
         .map(|_| ())
@@ -308,7 +308,7 @@ fn topology_mismatch_is_rejected_and_server_keeps_serving() {
     session.classify_stream(&inputs).expect("inference after a rejected peer");
     assert!(session.shutdown().clean_shutdown);
 
-    let report = server.join().expect("server thread").expect("server survives rejections");
+    let report = server.shutdown();
     assert_eq!(report.rejected_handshakes, 1, "the mismatch was counted, not fatal");
     assert_eq!(report.requests, 1);
     assert!(report.clean_shutdown);
@@ -371,10 +371,8 @@ fn zero_deadline_sheds_every_item_client_side() {
     let mut config = NetConfig::small_test(128);
     config.item_deadline = Some(std::time::Duration::ZERO);
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -396,7 +394,7 @@ fn zero_deadline_sheds_every_item_client_side() {
     assert!(err.to_string().contains("DeadlineExpired"), "{err}");
     assert!(session.shutdown().clean_shutdown);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert_eq!(server_report.requests, 0, "expired items never reach the wire");
     assert_eq!(server_report.deadline_expired, 0, "the shed happened client-side");
     assert!(server_report.clean_shutdown);
@@ -412,10 +410,8 @@ fn sub_millisecond_budget_expires_at_the_server() {
     let mut config = NetConfig::small_test(128);
     config.item_deadline = Some(std::time::Duration::from_millis(1));
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -433,7 +429,7 @@ fn sub_millisecond_budget_expires_at_the_server() {
     assert!(transport.clean_shutdown);
     assert_eq!(transport.deadline_expired, 16);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert!(server_report.clean_shutdown);
     assert!(
         server_report.deadline_expired > 0,
@@ -453,10 +449,8 @@ fn generous_deadline_and_watchdog_leave_the_stream_untouched() {
     config.item_deadline = Some(std::time::Duration::from_secs(30));
     config.stall_window = Some(std::time::Duration::from_secs(30));
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -469,7 +463,7 @@ fn generous_deadline_and_watchdog_leave_the_stream_untouched() {
     assert_eq!(transport.quarantined, 0);
     assert!(session.shutdown().clean_shutdown);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert_eq!(server_report.requests as usize, inputs.len());
     assert_eq!(server_report.deadline_expired + server_report.shed + server_report.quarantined, 0);
     assert!(server_report.clean_shutdown);
@@ -490,10 +484,8 @@ fn zero_inflight_cap_sheds_every_item() {
     let mut config = NetConfig::small_test(128);
     config.max_inflight_items = 0;
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let provider = ModelProvider::new(&scaled, &config).expect("provider");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
+    let server = serve(&scaled, &config);
+    let addr = server.addr();
 
     let mut session =
         NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect + handshake");
@@ -510,7 +502,7 @@ fn zero_inflight_cap_sheds_every_item() {
     assert!(transport.clean_shutdown);
     assert_eq!(transport.shed, 4);
 
-    let server_report = server.join().expect("server thread");
+    let server_report = server.shutdown();
     assert!(server_report.clean_shutdown);
     assert_eq!(server_report.shed, transport.shed, "both sides count every shed item");
     assert_eq!(server_report.requests, 0);
@@ -757,54 +749,34 @@ fn shutdown_does_not_wait_for_an_idle_session_past_the_read_timeout() {
 }
 
 #[test]
-fn read_timeout_expiry_is_counted_alike_by_the_event_loop_and_the_blocking_shell() {
-    // One scenario on both drivers: a peer connects and stays silent
-    // past the read timeout, then a real client streams one item and
-    // says Bye. Every counter must agree, and both must name the
-    // timeout and the stage it hit.
-    fn scenario(
-        addr: std::net::SocketAddr,
-        scaled: &ScaledModel,
-        config: &NetConfig,
-    ) {
-        use std::io::Read;
-        let mut silent = std::net::TcpStream::connect(addr).expect("silent peer connects");
-        silent.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("read timeout");
-        // Both drivers close the silent connection without a reply.
-        let mut buf = [0u8; 16];
-        assert!(matches!(silent.read(&mut buf), Ok(0)), "silent peer must see a bare close");
-        let mut session =
-            NetworkedSession::connect(addr, scaled.clone(), config).expect("connect + handshake");
-        session.classify_stream(&stream_inputs(1, 4)).expect("inference");
-        assert!(session.shutdown().clean_shutdown);
-    }
-
-    let (scaled, config, provider) = short_read_timeout_provider("parity-mlp");
+fn read_timeout_expiry_is_a_bare_close_and_one_failed_connection() {
+    // A peer connects and stays silent past the read timeout, then a
+    // real client streams one item and says Bye. The silent peer sees a
+    // close without a reply; the server counts a failed connection (not
+    // a refused hello) and names the timeout and the stage it hit.
+    use std::io::Read;
+    let (scaled, config, provider) = short_read_timeout_provider("expiry-mlp");
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let handle = provider.serve_forever(listener, ServeOptions::default()).expect("spawn server");
-    scenario(handle.addr(), &scaled, &config);
-    let looped = handle.shutdown();
+    let options = ServeOptions { max_workers: 1, ..ServeOptions::default() };
+    let handle = provider.serve_forever(listener, options).expect("spawn server");
 
-    let (scaled, config, provider) = short_read_timeout_provider("parity-mlp");
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || provider.serve_listener(&listener).expect("serve"));
-    scenario(addr, &scaled, &config);
-    let blocking = server.join().expect("server thread");
+    let mut silent = std::net::TcpStream::connect(handle.addr()).expect("silent peer connects");
+    silent.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("read timeout");
+    let mut buf = [0u8; 16];
+    assert!(matches!(silent.read(&mut buf), Ok(0)), "silent peer must see a bare close");
+    let mut session =
+        NetworkedSession::connect(handle.addr(), scaled, &config).expect("connect + handshake");
+    session.classify_stream(&stream_inputs(1, 4)).expect("inference");
+    assert!(session.shutdown().clean_shutdown);
 
-    for report in [&looped, &blocking] {
-        assert_eq!(report.connections, 2, "{report:?}");
-        assert_eq!(report.failed_connections, 1, "{report:?}");
-        assert_eq!(report.rejected_handshakes, 0, "a timeout is not a refused hello: {report:?}");
-        assert_eq!(report.requests, 1, "{report:?}");
-        assert!(report.clean_shutdown);
-        let err = report.last_error.as_deref().unwrap_or_default();
-        assert!(err.contains("timeout") && err.contains("handshake"), "{err}");
-    }
-    assert_eq!(
-        (looped.frames_in, looped.frames_out, looped.bytes_in, looped.bytes_out),
-        (blocking.frames_in, blocking.frames_out, blocking.bytes_in, blocking.bytes_out),
-    );
+    let report = handle.shutdown();
+    assert_eq!(report.connections, 2, "{report:?}");
+    assert_eq!(report.failed_connections, 1, "{report:?}");
+    assert_eq!(report.rejected_handshakes, 0, "a timeout is not a refused hello: {report:?}");
+    assert_eq!(report.requests, 1, "{report:?}");
+    assert!(report.clean_shutdown);
+    let err = report.last_error.as_deref().unwrap_or_default();
+    assert!(err.contains("timeout") && err.contains("handshake"), "{err}");
 }
 
 #[test]
