@@ -10,6 +10,8 @@ fn msg_with(elements: usize, ct_bytes: usize) -> EncTensorMsg {
         seq: 1,
         shape: vec![elements as u64],
         obfuscated: true,
+        folded: false,
+        folded: false,
         cts: (0..elements)
             .map(|i| (0..ct_bytes).map(|j| ((i * 31 + j) % 251) as u8).collect())
             .collect(),

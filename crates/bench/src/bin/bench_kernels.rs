@@ -3,7 +3,9 @@
 //! layer's rows with one batched inversion versus one per row, the
 //! encryption hot path (full-width `r^n` vs inline fixed-base `h^a` vs
 //! pooled factor), pool refill (full-width pow_mod vs fixed-base comb),
-//! and CRT decrypt (sequential vs parallel halves vs batched).
+//! CRT decrypt (sequential vs parallel halves vs batched), and output
+//! folding (one fold of a ciphertext's worth of slots vs the decrypts it
+//! takes off the client).
 //!
 //! Writes machine-readable results to `BENCH_paillier.json` (override
 //! with `PP_BENCH_OUT`) and asserts along the way that the fused kernel
@@ -21,8 +23,10 @@
 //! lengths {9, 64} and fails if the fused kernel is not at least as fast
 //! as the naive fold, the fixed-base encryption not faster than the
 //! full-width one, or the batched-inversion rows slower than per-row
-//! — the CI regression gates for the kernels.
+//! — the CI regression gates for the kernels. The refill, batch-decrypt
+//! and fold gates run at 2048 bits in either mode.
 
+use pp_bigint::{random_coprime, MontgomeryCtx};
 use pp_paillier::packing::{PackedCiphertext, PackedMontInputs, PackingSpec};
 use pp_paillier::{Ciphertext, Keypair, MontInputs, PublicKey, RandomnessPool};
 use pp_stream_runtime::WorkerPool;
@@ -277,12 +281,15 @@ fn bench_refill_decrypt(bits: usize, smoke: bool, out: &mut Vec<Sample>) {
     let reps = if bits >= 2048 { 3 } else { 6 };
     let count = if bits >= 2048 { 4 } else { 32 };
 
-    // Full-width refill: one |n|-bit pow_mod per blinding factor.
-    let mut pow_pool = RandomnessPool::new(pk.clone());
+    // Full-width refill, the reference the comb walk replaced: a fresh
+    // `r ∈ Z*_n` and one |n|-bit pow_mod per blinding factor.
+    let ctx_n2 = MontgomeryCtx::new(pk.n_squared()).expect("n² is odd");
     let mut refill_rng = StdRng::seed_from_u64(bits as u64 ^ 0x01);
     let pow_per = time_min(reps, count, || {
-        pow_pool.refill_pow_mod(count, &mut refill_rng);
-        while pow_pool.take_factor().is_some() {}
+        for _ in 0..count {
+            let r = random_coprime(&mut refill_rng, pk.n());
+            std::hint::black_box(ctx_n2.pow_mod(&r, pk.n()));
+        }
     });
     record(out, bits, "pool_refill", 0, pow_per);
 
@@ -366,6 +373,52 @@ fn bench_refill_decrypt(bits: usize, smoke: bool, out: &mut Vec<Sample>) {
                  than sequential ({seq_per:?}, budget {budget:?}, {cores} cores) at {bits} bits"
             );
         }
+    }
+}
+
+/// Output folding ([`PackedCiphertext::fold`]): a full ciphertext's worth
+/// of unpacked outputs into one, in the 64-bit layout the model provider
+/// announces for a zoo model — 31 slots at 2048 bits, 3 at 256 — against
+/// the CRT decrypts it takes off the data provider (all but one). The
+/// slots are checked against the plaintexts before timing. Smoke gate,
+/// 2048 bits only: the fold costs at most a quarter of those decrypts
+/// (`slot_bits + 1` multiplies mod n² per element against one CRT
+/// decrypt; about a tenth on this code).
+fn bench_fold(bits: usize, smoke: bool, out: &mut Vec<Sample>) {
+    let mut rng = StdRng::seed_from_u64(bits as u64 ^ 0xF01D);
+    let kp = Keypair::generate(bits, &mut rng);
+    let (pk, sk) = (kp.public(), kp.private());
+    let spec =
+        PackingSpec::for_key(&pk, 64).expect("64-bit slots fit the key").with_budget(1 << 17);
+    let values: Vec<i64> =
+        (0..spec.slots).map(|_| rng.gen_range(-(1i64 << 40)..1 << 40)).collect();
+    let cts: Vec<Ciphertext> = values.iter().map(|&v| pk.encrypt_i64(v, &mut rng)).collect();
+    let folded = PackedCiphertext::fold(&pk, spec, &cts).expect("fold");
+    assert_eq!(folded.decrypt(&sk).expect("slots"), values, "fold diverged at {bits} bits");
+
+    let reps = if bits >= 2048 { 3 } else { 8 };
+    let fold_t = time_min(reps, 1, || {
+        std::hint::black_box(PackedCiphertext::fold(&pk, spec, &cts).expect("fold"));
+    });
+    record(out, bits, "fold_slots", spec.slots, fold_t);
+    let saved = spec.slots - 1;
+    let decrypts_t = time_min(reps, 1, || {
+        for ct in &cts[..saved] {
+            std::hint::black_box(sk.decrypt(ct));
+        }
+    });
+    let share = fold_t.as_secs_f64() / decrypts_t.as_secs_f64().max(1e-12);
+    println!(
+        "       fold: {} ciphertexts into one costs {share:.2}x the {saved} decrypts it removes",
+        spec.slots
+    );
+    if smoke && bits >= 2048 {
+        assert!(
+            share <= 0.25,
+            "fold regression: folding {} ciphertexts ({fold_t:?}) costs {share:.2}x the {saved} \
+             sequential decrypts it removes ({decrypts_t:?}) at {bits} bits; the gate is 0.25x",
+            spec.slots
+        );
     }
 }
 
@@ -525,22 +578,25 @@ fn main() {
         bench_key_size(bits, lens, smoke, &mut samples);
         bench_dot_rows(bits, smoke, &mut samples);
         bench_refill_decrypt(bits, smoke, &mut samples);
+        bench_fold(bits, smoke, &mut samples);
         bench_packed_dot(bits, slot_bits_for(bits), smoke, &mut samples);
     }
     if smoke && !key_sizes.contains(&2048) {
-        // The inversion, refill and CRT gates only mean something at
-        // production key size; run them once at 2048 bits even in smoke
-        // mode.
-        println!("\nkey size 2048 bits (dot-rows/refill/decrypt gates):");
+        // The inversion, refill, CRT and fold gates only mean something
+        // at production key size; run them once at 2048 bits even in
+        // smoke mode.
+        println!("\nkey size 2048 bits (dot-rows/refill/decrypt/fold gates):");
         bench_dot_rows(2048, true, &mut samples);
         bench_refill_decrypt(2048, true, &mut samples);
+        bench_fold(2048, true, &mut samples);
     }
     write_json(&out_path, if smoke { "smoke" } else { "full" }, &samples);
     if smoke {
         println!(
             "smoke gate passed: fused ≤ naive, fixed-base encrypt < full-width, \
              batched-inversion rows ≤ per-row, packed per-item ≤ unpacked, \
-             fixed-base refill ≤ pow_mod, batch decrypt ≤ sequential"
+             fixed-base refill ≤ pow_mod, batch decrypt ≤ sequential, \
+             fold of 31 ≤ 0.25x the 30 decrypts it removes"
         );
     }
 }

@@ -14,7 +14,14 @@ pub struct EncTensorMsg {
     pub shape: Vec<u64>,
     /// Whether element positions are currently permuted.
     pub obfuscated: bool,
-    /// Big-endian ciphertext bytes, one per element.
+    /// Output folding (DESIGN.md §8). On a linear request: every
+    /// plaintext behind `cts` is inside the announced layout's value
+    /// bound, so the reply may be folded. On a linear reply: it was —
+    /// `cts` holds `⌈shape ÷ slots⌉` slot-packed ciphertexts, not one
+    /// per element. Shares the `obfuscated` byte on the wire (bit 1).
+    pub folded: bool,
+    /// Big-endian ciphertext bytes, one per element (per slot group
+    /// when `folded` on a reply).
     pub cts: Vec<Vec<u8>>,
 }
 
@@ -23,7 +30,7 @@ impl WireEncode for EncTensorMsg {
         enc.put_u8(MsgTag::EncTensor as u8);
         enc.put_u64(self.seq);
         self.shape.encode(enc);
-        enc.put_u8(self.obfuscated as u8);
+        enc.put_u8(self.obfuscated as u8 | (self.folded as u8) << 1);
         self.cts.encode(enc);
     }
 }
@@ -31,10 +38,17 @@ impl WireEncode for EncTensorMsg {
 impl WireDecode for EncTensorMsg {
     fn decode(dec: &mut Decoder) -> Result<Self, StreamError> {
         expect_tag(dec, MsgTag::EncTensor)?;
+        let seq = dec.get_u64()?;
+        let shape = Vec::<u64>::decode(dec)?;
+        let flags = dec.get_u8()?;
+        if flags > 0b11 {
+            return Err(StreamError::Decode(format!("unknown tensor flags {flags:#04x}")));
+        }
         Ok(EncTensorMsg {
-            seq: dec.get_u64()?,
-            shape: Vec::<u64>::decode(dec)?,
-            obfuscated: dec.get_u8()? != 0,
+            seq,
+            shape,
+            obfuscated: flags & 0b01 != 0,
+            folded: flags & 0b10 != 0,
             cts: Vec::<Vec<u8>>::decode(dec)?,
         })
     }
@@ -91,7 +105,15 @@ impl WireDecode for PlainTensorMsg {
 /// with [`ItemErrorKind::PackedAbort`] so the client can replay the
 /// batch unpacked. Unpacked operation (all packing fields zero) is the
 /// compatibility default.
-pub const PROTOCOL_VERSION: u32 = 4;
+///
+/// v5: output folding. [`AcceptMsg`] announces the slot layout the
+/// server folds linear replies into (`fold_slot_bits` / `fold_budget`;
+/// zero announces none), and [`EncTensorMsg`] carries a `folded` flag
+/// in its `obfuscated` byte: set by the client on a request whose
+/// plaintexts are inside the layout's value bound, echoed by the server
+/// on a reply it folded into `⌈shape ÷ slots⌉` ciphertexts. Unflagged
+/// frames are byte-identical to v4's.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Deployment handshake: the data provider's opening message. Carries
 /// everything both sides must agree on before ciphertexts flow —
@@ -172,6 +194,14 @@ pub struct AcceptMsg {
     /// Echo of the client's accepted `pack_slot_bits`; zero declines
     /// packing (the client silently streams unpacked).
     pub pack_slot_bits: u32,
+    /// Slot width of the layout the server folds flagged linear replies
+    /// into — its own choice for this key and model, announced on every
+    /// accept (resumes included), never negotiated. Zero: no folding.
+    pub fold_slot_bits: u32,
+    /// Operation budget of that layout: the weight every folded reply
+    /// is offset at, and what sizes the value bound the client checks
+    /// its plaintexts against.
+    pub fold_budget: u64,
 }
 
 impl WireEncode for AcceptMsg {
@@ -182,6 +212,8 @@ impl WireEncode for AcceptMsg {
         enc.put_u64(self.topology);
         enc.put_u64(self.session);
         enc.put_u32(self.pack_slot_bits);
+        enc.put_u32(self.fold_slot_bits);
+        enc.put_u64(self.fold_budget);
     }
 }
 
@@ -194,6 +226,8 @@ impl WireDecode for AcceptMsg {
             topology: dec.get_u64()?,
             session: dec.get_u64()?,
             pack_slot_bits: dec.get_u32()?,
+            fold_slot_bits: dec.get_u32()?,
+            fold_budget: dec.get_u64()?,
         })
     }
 }
@@ -475,7 +509,12 @@ impl WireDecode for PackedTensorMsg {
 /// index ciphertexts by shape, so a mismatch must be an error before it
 /// can be a panic.
 pub(crate) fn shape_holds(shape: &[u64], count: usize) -> bool {
-    shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d)) == Some(count as u64)
+    shape_len(shape) == Some(count as u64)
+}
+
+/// The element count a wire `shape` describes; `None` when it overflows.
+pub(crate) fn shape_len(shape: &[u64]) -> Option<u64> {
+    shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d))
 }
 
 /// Message type tags.
@@ -527,15 +566,38 @@ mod tests {
     use pp_stream_runtime::wire::{from_frame, to_frame};
 
     #[test]
-    fn enc_tensor_roundtrip() {
-        let msg = EncTensorMsg {
-            seq: 42,
-            shape: vec![2, 3],
-            obfuscated: true,
-            cts: vec![vec![1, 2, 3], vec![], vec![255; 64], vec![0], vec![9], vec![8, 7]],
-        };
-        let back: EncTensorMsg = from_frame(to_frame(&msg)).unwrap();
-        assert_eq!(back, msg);
+    fn enc_tensor_roundtrips_under_every_flag_byte() {
+        let shape = vec![2u64, 3];
+        // seq, shape (count + dims), then the flag byte.
+        let flag_at = 1 + 8 + 4 + 8 * shape.len();
+        for flags in 0u8..=3 {
+            let msg = EncTensorMsg {
+                seq: 42,
+                shape: shape.clone(),
+                obfuscated: flags & 1 != 0,
+                folded: flags & 2 != 0,
+                cts: vec![vec![1, 2, 3], vec![], vec![255; 64], vec![0], vec![9], vec![8, 7]],
+            };
+            let frame = to_frame(&msg);
+            assert_eq!(frame[flag_at], flags);
+            let back: EncTensorMsg = from_frame(frame).unwrap();
+            assert_eq!(back, msg);
+        }
+    }
+
+    #[test]
+    fn unknown_tensor_flags_are_a_decode_error() {
+        // v4 read any non-zero byte as "obfuscated"; a flag this version
+        // does not know must not be guessed at.
+        let msg =
+            EncTensorMsg { seq: 1, shape: vec![1], obfuscated: false, folded: false, cts: vec![] };
+        let flag_at = 1 + 8 + 4 + 8;
+        for flags in [4u8, 5, 0x80, 0xff] {
+            let mut bytes = to_frame(&msg).to_vec();
+            bytes[flag_at] = flags;
+            let res: Result<EncTensorMsg, _> = from_frame(bytes::Bytes::from(bytes));
+            assert!(matches!(res, Err(StreamError::Decode(_))), "flags {flags:#04x}");
+        }
     }
 
     #[test]
@@ -571,6 +633,8 @@ mod tests {
             topology: 3,
             session: 99,
             pack_slot_bits: 32,
+            fold_slot_bits: 64,
+            fold_budget: 1 << 17,
         };
         let back: AcceptMsg = from_frame(to_frame(&accept)).unwrap();
         assert_eq!(back, accept);
@@ -654,7 +718,13 @@ mod tests {
 
     #[test]
     fn peek_tag_identifies_frames() {
-        let enc = to_frame(&EncTensorMsg { seq: 0, shape: vec![], obfuscated: false, cts: vec![] });
+        let enc = to_frame(&EncTensorMsg {
+            seq: 0,
+            shape: vec![],
+            obfuscated: false,
+            folded: false,
+            cts: vec![],
+        });
         assert_eq!(peek_tag(&enc), Some(MsgTag::EncTensor));
         let plain = to_frame(&PlainTensorMsg { seq: 0, shape: vec![], values: vec![] });
         assert_eq!(peek_tag(&plain), Some(MsgTag::PlainTensor));
@@ -687,11 +757,23 @@ mod tests {
             pack_slots: 4,
             pack_budget: 64,
         }));
-        assert_all_truncations::<EncTensorMsg>(to_frame(&EncTensorMsg {
-            seq: 9,
-            shape: vec![2, 2],
-            obfuscated: false,
-            cts: vec![vec![1, 2, 3], vec![4]],
+        for flags in 0u8..=3 {
+            assert_all_truncations::<EncTensorMsg>(to_frame(&EncTensorMsg {
+                seq: 9,
+                shape: vec![2, 2],
+                obfuscated: flags & 1 != 0,
+                folded: flags & 2 != 0,
+                cts: vec![vec![1, 2, 3], vec![4]],
+            }));
+        }
+        assert_all_truncations::<AcceptMsg>(to_frame(&AcceptMsg {
+            version: PROTOCOL_VERSION,
+            pk_fingerprint: 1,
+            topology: 2,
+            session: 3,
+            pack_slot_bits: 0,
+            fold_slot_bits: 64,
+            fold_budget: 1 << 17,
         }));
         assert_all_truncations::<PackedTensorMsg>(to_frame(&PackedTensorMsg {
             seqs: vec![1, 2],

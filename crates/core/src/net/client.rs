@@ -8,13 +8,13 @@ use super::report::TransportReport;
 use super::ModelProvider;
 use crate::encapsulate::{encapsulate_with, StageRole};
 use crate::messages::{
-    peek_tag, shape_holds, AcceptMsg, AckMsg, ByeMsg, EncTensorMsg, HelloMsg, ItemErrorKind,
-    ItemErrorMsg, MsgTag, PackedTensorMsg, PlainTensorMsg, RejectCode, RejectMsg, ResumeMsg,
-    PROTOCOL_VERSION,
+    peek_tag, shape_holds, shape_len, AcceptMsg, AckMsg, ByeMsg, EncTensorMsg, HelloMsg,
+    ItemErrorKind, ItemErrorMsg, MsgTag, PackedTensorMsg, PlainTensorMsg, RejectCode, RejectMsg,
+    ResumeMsg, PROTOCOL_VERSION,
 };
 use crate::packed;
 use crate::protocol::{
-    encrypt_exec, nonlinear_execs, plain_msg, refill_seed, EncryptStage, NonLinearStage,
+    encrypt_exec, may_fold, nonlinear_execs, plain_msg, refill_seed, EncryptStage, NonLinearStage,
 };
 use crate::session::RunReport;
 use crate::CoreError;
@@ -22,7 +22,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use pp_nn::scaling::ScaledModel;
 use pp_paillier::packing::PackingSpec;
-use pp_paillier::{Keypair, RandomnessPool};
+use pp_paillier::{Keypair, PublicKey, RandomnessPool};
 #[cfg(feature = "fault-injection")]
 use pp_stream_runtime::fault::{FaultPlan, FaultReceiver, FaultSender, FaultState};
 use pp_stream_runtime::link::Frame;
@@ -318,6 +318,9 @@ pub struct NetworkedSession {
     /// Requested members per packed batch ([`NetConfig::pack_batch`];
     /// 0 fills every slot the negotiated layout offers).
     pack_batch: usize,
+    /// The layout the current connection's accept announced for folded
+    /// linear replies, or `None` when the server folds nothing.
+    fold: Option<PackingSpec>,
     fault: FaultHook,
 }
 
@@ -368,20 +371,46 @@ enum PackedRoundOutcome {
 /// packed batch's.
 trait RoundMsg: WireEncode + WireDecode {
     /// Whether `reply` carries this request's seq(s) and exactly as many
-    /// ciphertexts as its shape describes.
-    fn answered_by(&self, reply: &Self) -> bool;
+    /// ciphertexts as its shape describes — under `fold`, the layout the
+    /// connection's accept announced, when it says it is folded.
+    fn answered_by(&self, reply: &Self, fold: Option<PackingSpec>) -> bool;
 }
 
 impl RoundMsg for EncTensorMsg {
-    fn answered_by(&self, reply: &Self) -> bool {
-        reply.seq == self.seq && shape_holds(&reply.shape, reply.cts.len())
+    fn answered_by(&self, reply: &Self, fold: Option<PackingSpec>) -> bool {
+        // A folded reply answers only a request that asked for one, on a
+        // connection with a layout to read it by, and holds one
+        // ciphertext per `slots` elements of its shape.
+        let per_ct = match (reply.folded, fold) {
+            (false, _) => 1,
+            (true, Some(spec)) if self.folded => spec.slots as u64,
+            (true, _) => return false,
+        };
+        reply.seq == self.seq
+            && shape_len(&reply.shape).map(|len| len.div_ceil(per_ct))
+                == Some(reply.cts.len() as u64)
     }
 }
 
 impl RoundMsg for PackedTensorMsg {
-    fn answered_by(&self, reply: &Self) -> bool {
+    fn answered_by(&self, reply: &Self, _fold: Option<PackingSpec>) -> bool {
         reply.seqs == self.seqs && shape_holds(&reply.shape, reply.cts.len())
     }
+}
+
+/// The fold layout an accept announces, rebuilt against the session's
+/// key as the server derived it (`slots` is what the key holds at that
+/// width). `None` when it announces none; an announcement that is not a
+/// layout this key can hold is treated the same way — the client then
+/// never asks for a folded reply.
+fn announced_fold(accept: &AcceptMsg, pk: &PublicKey) -> Option<PackingSpec> {
+    if accept.fold_slot_bits == 0 {
+        return None;
+    }
+    let spec = PackingSpec::for_key(pk, accept.fold_slot_bits as usize)
+        .ok()?
+        .with_budget(accept.fold_budget);
+    spec.check().is_ok().then_some(spec)
 }
 
 /// How a linear round trip ended short of a usable reply.
@@ -517,6 +546,7 @@ impl NetworkedSession {
         // The proposal stands only if the server echoed its slot width;
         // an echo of 0 (or anything else) declines packing.
         let packing = packing.filter(|s| accept.pack_slot_bits as usize == s.slot_bits);
+        let fold = announced_fold(&accept, &keypair.public());
 
         // Client-side execution plan: socket round trips for linear
         // stages, local executors for the rest.
@@ -567,6 +597,7 @@ impl NetworkedSession {
             stall_window: config.stall_window,
             packing,
             pack_batch: config.pack_batch,
+            fold,
             fault,
         })
     }
@@ -579,6 +610,12 @@ impl NetworkedSession {
     /// The server-assigned session ID.
     pub fn session(&self) -> u64 {
         self.session
+    }
+
+    /// The slot layout the server announced for folding its linear
+    /// replies (DESIGN.md §8), or `None` when it folds none.
+    pub fn fold_layout(&self) -> Option<PackingSpec> {
+        self.fold
     }
 
     /// Streams inference requests through the deployment (sequentially,
@@ -880,10 +917,10 @@ impl NetworkedSession {
         let reply: M = from_frame(frame.payload).map_err(RoundFailure::BadReply)?;
         // A corrupted-but-decodable reply must die here, not flow into
         // a stage that would panic on it.
-        if !request.answered_by(&reply) {
+        if !request.answered_by(&reply, self.fold) {
             return Err(RoundFailure::BadReply(StreamError::Stage(format!(
-                "{}: reply does not echo the request's seq, or its shape does not match \
-                 its ciphertext count (corrupt or misrouted)",
+                "{}: reply does not echo the request's seq, or its shape (and fold flag) \
+                 does not match its ciphertext count (corrupt or misrouted)",
                 stage()
             ))));
         }
@@ -973,12 +1010,16 @@ impl NetworkedSession {
         let seq = plain.seq;
         let failed = |kind, detail| Ok(ItemResult::Failed { kind, detail });
         let mut msg = self.encrypt.encrypt(plain.clone(), &self.pool);
+        msg.folded = may_fold(self.fold, plain.values.iter().copied());
         let last = self.steps.len() - 1;
         for i in 0..=last {
             match self.steps[i] {
                 ClientStep::Linear { round } => {
                     msg = match self.linear_round(round, seq, &msg, deadline) {
-                        Ok(reply) => reply,
+                        Ok(reply) => {
+                            self.transport.folded_rounds += u64::from(reply.folded);
+                            reply
+                        }
                         Err(RoundFailure::Io(e) | RoundFailure::BadReply(e)) => return Err(e),
                         // An exhausted budget sheds the item client-side
                         // before the send.
@@ -1019,12 +1060,12 @@ impl NetworkedSession {
                 // instead of tearing down.
                 ClientStep::NonLinear(ref nl) => {
                     if i == last {
-                        return match nl.execute_final(msg, &self.pool) {
+                        return match nl.execute_final_folding(msg, self.fold, &self.pool) {
                             Ok(out) => Ok(ItemResult::Output(out)),
                             Err(e) => failed(ItemErrorKind::CorruptReply, e.to_string()),
                         };
                     }
-                    msg = match nl.execute(msg, &self.pool) {
+                    msg = match nl.execute_folding(msg, self.fold, &self.pool) {
                         Ok(m) => m,
                         Err(e) => return failed(ItemErrorKind::CorruptReply, e.to_string()),
                     };
@@ -1065,8 +1106,10 @@ impl NetworkedSession {
         self.transport.reconnects += 1;
         // Resumed connections run unpacked: the replacement server
         // connection negotiated no packing (Resume has no proposal)
-        // and its fresh PermStore has no packed permutations.
+        // and its fresh PermStore has no packed permutations. Folding
+        // goes on: the resume-accept announced the layout again.
         self.packing = None;
+        self.fold = announced_fold(&accept, &self.encrypt.pk);
         Ok(())
     }
 
@@ -1093,7 +1136,14 @@ mod tests {
     fn connected(config: &NetConfig) -> (ScaledModel, crate::ServerHandle, NetworkedSession) {
         let model =
             pp_nn::zoo::mlp("m", &[4, 6, 3], &mut StdRng::seed_from_u64(31)).expect("model");
-        let scaled = ScaledModel::from_model(&model, 100);
+        connected_to(ScaledModel::from_model(&model, 100), config)
+    }
+
+    /// As [`connected`], for a model of the caller's.
+    fn connected_to(
+        scaled: ScaledModel,
+        config: &NetConfig,
+    ) -> (ScaledModel, crate::ServerHandle, NetworkedSession) {
         let provider = Arc::new(ModelProvider::new(&scaled, config).expect("provider"));
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let handle = provider
@@ -1191,6 +1241,193 @@ mod tests {
             assert_eq!(report.replayed_items, case.server_replays);
             assert_eq!(report.requests, 3);
         }
+    }
+
+    /// Counts the ciphertexts of every linear reply it hands over — what
+    /// the session then decrypts.
+    struct CountingRx {
+        inner: Box<dyn FrameReceiver>,
+        ciphertexts: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl FrameReceiver for CountingRx {
+        fn recv(&mut self) -> Result<Option<Frame>, StreamError> {
+            let frame = self.inner.recv()?;
+            if let Some(frame) = &frame {
+                if peek_tag(&frame.payload) == Some(MsgTag::EncTensor) {
+                    let reply: EncTensorMsg = from_frame(frame.payload.clone())?;
+                    self.ciphertexts
+                        .fetch_add(reply.cts.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                }
+            }
+            Ok(frame)
+        }
+    }
+
+    /// Streams `inputs` through `session` and returns the outputs, the
+    /// ciphertexts it was sent to decrypt and its folded-round count.
+    fn counted_stream(
+        session: &mut NetworkedSession,
+        inputs: &[Tensor<f64>],
+    ) -> (Vec<Tensor<i64>>, u64, u64) {
+        let ciphertexts = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        session.rx = Box::new(CountingRx {
+            inner: std::mem::replace(&mut session.rx, Box::new(DeadHalf)),
+            ciphertexts: Arc::clone(&ciphertexts),
+        });
+        let (outputs, report) = session.infer_stream(inputs).expect("stream");
+        let folded_rounds = report.transport.expect("transport").folded_rounds;
+        (outputs, ciphertexts.load(std::sync::atomic::Ordering::Relaxed), folded_rounds)
+    }
+
+    #[test]
+    fn folded_streams_equal_the_reference_and_decrypt_one_ciphertext_per_slot_group() {
+        // The benchmark's three model shapes at 256-bit keys: three
+        // 64-bit slots per ciphertext.
+        use pp_nn::{zoo, Layer, Model};
+        let mut rng = StdRng::seed_from_u64(71);
+        let fanin = Model::new(
+            "fanin",
+            vec![1, 8, 8],
+            vec![
+                Layer::Flatten,
+                zoo::dense_layer(&mut rng, 64, 8),
+                Layer::ReLU,
+                zoo::dense_layer(&mut rng, 8, 10),
+                Layer::SoftMax,
+            ],
+        )
+        .expect("fan-in model");
+        let models = [
+            zoo::healthcare_3fc("fc3", 30, &mut rng).expect("fc3"),
+            fanin,
+            zoo::small_convnet("conv", (1, 6, 6), 2, 10, &mut rng).expect("convnet"),
+        ];
+        let config = NetConfig::small_test(256);
+        for model in models {
+            let scaled = ScaledModel::from_model(&model, 1_000);
+            let inputs: Vec<Tensor<f64>> = (0..2)
+                .map(|i| {
+                    let shape = scaled.input_shape().clone();
+                    let n = shape.len();
+                    let data = (0..n).map(|j| ((i * n + j) as f64 * 0.37).sin()).collect();
+                    Tensor::from_vec(shape, data).expect("input")
+                })
+                .collect();
+            let outputs_per_round: Vec<u64> = encapsulate_with(&scaled, config.merge_stages)
+                .expect("stages")
+                .iter()
+                .filter(|s| s.role == StageRole::Linear)
+                .map(|s| s.output_shape.len() as u64)
+                .collect();
+            let rounds = outputs_per_round.len() as u64;
+            let items = inputs.len() as u64;
+
+            let (scaled, handle, mut session) = connected_to(scaled, &config);
+            let layout = session.fold_layout().expect("layout announced");
+            assert_eq!((layout.slot_bits, layout.slots), (64, 3), "{}", model.name());
+            let (folded, decrypted, folded_rounds) = counted_stream(&mut session, &inputs);
+            for (input, got) in inputs.iter().zip(&folded) {
+                let want = scaled.forward_scaled(&scaled.scale_input(input)).expect("reference");
+                assert_eq!(got.data(), want.data(), "{}", model.name());
+            }
+            let per_item: u64 = outputs_per_round.iter().map(|n| n.div_ceil(3)).sum();
+            assert_eq!(decrypted, items * per_item, "{}", model.name());
+            assert_eq!(folded_rounds, items * rounds);
+            assert!(session.shutdown().clean_shutdown);
+
+            // The same stream with no layout on the client's side: no
+            // request is flagged, so nothing comes back folded.
+            let mut unfolded_session =
+                NetworkedSession::connect(handle.addr(), scaled.clone(), &config).expect("connect");
+            unfolded_session.fold = None;
+            let (unfolded, decrypted, folded_rounds) =
+                counted_stream(&mut unfolded_session, &inputs);
+            assert_eq!(unfolded, folded, "{}: folding changed an output", model.name());
+            assert_eq!(decrypted, items * outputs_per_round.iter().sum::<u64>());
+            assert_eq!(folded_rounds, 0);
+            assert!(unfolded_session.shutdown().clean_shutdown);
+
+            let report = handle.shutdown();
+            assert_eq!(report.folded_replies, items * rounds, "only the first session's");
+            assert_eq!(report.requests, 2 * items);
+        }
+    }
+
+    #[test]
+    fn an_input_past_the_value_bound_travels_unfolded_and_is_still_correct() {
+        let config = NetConfig::small_test(256);
+        let (scaled, handle, mut session) = connected(&config);
+        let bound = session.fold_layout().expect("layout").value_bound();
+        // One element scaled just past the bound: round 0 must go
+        // unflagged and come back one ciphertext per output. Its ReLU
+        // output is back under the bound (weights are below 1), so the
+        // second round folds again.
+        let huge = (bound as f64 + 1000.0) / scaled.factor() as f64;
+        let input = Tensor::from_flat(vec![huge, -0.4, 0.7, 0.2]);
+        assert!(scaled.scale_input(&input).data()[0] >= bound);
+
+        let (got, decrypted, folded_rounds) =
+            counted_stream(&mut session, std::slice::from_ref(&input));
+        let want = scaled.forward_scaled(&scaled.scale_input(&input)).expect("reference");
+        assert_eq!(got[0].data(), want.data());
+        assert_eq!(folded_rounds, 1, "flag clear on the first request and on its reply");
+        assert_eq!(decrypted, 6 + 1, "six outputs unfolded, then three in one ciphertext");
+        assert!(session.shutdown().clean_shutdown);
+        assert_eq!(handle.shutdown().folded_replies, 1);
+    }
+
+    #[test]
+    fn a_packing_session_still_packs_and_its_per_item_requests_fold() {
+        // 64-bit batch slots on a 256-bit key hold three members; the
+        // fourth input trails alone and travels per-item — folded.
+        let mut config = NetConfig::small_test(256);
+        config.pack_slot_bits = 64;
+        let (scaled, handle, mut session) = connected(&config);
+        assert_eq!(session.packing.map(|s| s.slots), Some(3));
+        assert_eq!(session.fold_layout().map(|s| s.slots), Some(3));
+
+        let mut inputs = three_inputs();
+        inputs.push(Tensor::from_flat(vec![0.9, 0.1, -0.3, 0.5]));
+        let (outputs, report) = session.infer_stream(&inputs).expect("stream");
+        for (input, got) in inputs.iter().zip(&outputs) {
+            let want = scaled.forward_scaled(&scaled.scale_input(input)).expect("reference");
+            assert_eq!(got.data(), want.data());
+        }
+        let transport = report.transport.expect("transport");
+        assert_eq!(transport.packed_items, 3);
+        assert_eq!(transport.packed_fallbacks, 0);
+        assert_eq!(transport.folded_rounds, 2, "the lone item's two rounds");
+        assert!(session.shutdown().clean_shutdown);
+        let report = handle.shutdown();
+        assert_eq!(report.packed_rounds, 2);
+        assert_eq!(report.folded_replies, 2);
+    }
+
+    #[test]
+    fn a_folded_reply_answers_only_a_flagged_request_under_a_layout() {
+        let layout = Some(PackingSpec { slot_bits: 64, slots: 3, op_budget: 1 << 10 });
+        let tensor = |folded, cts: usize| EncTensorMsg {
+            seq: 5,
+            shape: vec![7],
+            obfuscated: true,
+            folded,
+            cts: vec![vec![1]; cts],
+        };
+        let (asked, unasked) = (tensor(true, 4), tensor(false, 4));
+        // Unfolded replies: one ciphertext per element, whatever was asked.
+        assert!(asked.answered_by(&tensor(false, 7), layout));
+        assert!(unasked.answered_by(&tensor(false, 7), None));
+        assert!(!asked.answered_by(&tensor(false, 3), layout));
+        // Folded replies: ⌈7 ÷ 3⌉ ciphertexts, asked for, layout known.
+        assert!(asked.answered_by(&tensor(true, 3), layout));
+        assert!(!asked.answered_by(&tensor(true, 2), layout), "one short");
+        assert!(!asked.answered_by(&tensor(true, 4), layout), "one over");
+        assert!(!asked.answered_by(&tensor(true, 7), layout), "unfolded count, folded flag");
+        assert!(!asked.answered_by(&tensor(true, 3), None), "no layout announced");
+        assert!(!unasked.answered_by(&tensor(true, 3), layout), "nobody asked");
+        // And always the request's own seq.
+        assert!(!asked.answered_by(&EncTensorMsg { seq: 6, ..tensor(true, 3) }, layout));
     }
 
     #[test]

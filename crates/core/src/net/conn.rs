@@ -145,6 +145,10 @@ pub(super) struct ConnState {
     session: u64,
     /// Negotiated packed layout (always `None` on resumed connections).
     packing: Option<PackingSpec>,
+    /// The layout this connection's accept announced for folded replies
+    /// ([`packed::fold_layout`]; the same on every connection of a
+    /// session).
+    fold: Option<PackingSpec>,
     /// Per-round linear executors, shared with in-flight jobs so a
     /// batched execution can outlive a borrow of the connection.
     execs: Arc<Vec<LinearStage>>,
@@ -177,6 +181,8 @@ pub(super) enum FrameDisposition {
 /// batcher).
 pub(super) struct ExecJob {
     round: usize,
+    /// The connection's announced fold layout, for a per-item reply.
+    fold: Option<PackingSpec>,
     kind: JobKind,
     execs: Arc<Vec<LinearStage>>,
     /// Chaos driver: this job panics inside execution.
@@ -206,7 +212,7 @@ pub(super) enum JobDone {
 pub(super) fn run_job(job: ExecJob, pool: &WorkerPool) -> JobDone {
     #[cfg(feature = "fault-injection")]
     let poison = job.poison;
-    let ExecJob { round, kind, execs, .. } = job;
+    let ExecJob { round, fold, kind, execs, .. } = job;
     let exec = &execs[round];
     match kind {
         JobKind::Item { msg } => {
@@ -216,7 +222,7 @@ pub(super) fn run_job(job: ExecJob, pool: &WorkerPool) -> JobDone {
                 if poison {
                     panic!("injected poison item {seq}");
                 }
-                exec.execute(msg, pool)
+                exec.execute_folding(msg, fold, pool)
             }));
             JobDone::Item { seq, round, out }
         }
@@ -273,13 +279,8 @@ impl ModelProvider {
                 let pk_n_len = hello.pk_n.len();
                 let session =
                     self.sessions.create(hello.pk_n, hello.pk_fingerprint, hello.topology, packing);
-                let accept = self.accept_reply(
-                    report,
-                    hello.pk_fingerprint,
-                    session,
-                    packing.map_or(0, |s| s.slot_bits as u32),
-                );
-                Ok((accept, self.conn_state(session, &pk, pk_n_len, packing)))
+                let conn = self.conn_state(session, &pk, pk_n_len, packing);
+                Ok((self.accept_reply(report, hello.pk_fingerprint, &conn), conn))
             }
             Some(MsgTag::Resume) => {
                 let resume: ResumeMsg =
@@ -295,17 +296,18 @@ impl ModelProvider {
                     self.sessions.resume(resume.session, resume.items_done, resume.topology)?;
                 report.resumed_sessions += 1;
                 let pk = PublicKey::from_n(BigUint::from_bytes_be(&entry.pk_n));
-                let accept = self.accept_reply(report, entry.pk_fingerprint, resume.session, 0);
-                Ok((accept, self.conn_state(resume.session, &pk, entry.pk_n.len(), None)))
+                let conn = self.conn_state(resume.session, &pk, entry.pk_n.len(), None);
+                Ok((self.accept_reply(report, entry.pk_fingerprint, &conn), conn))
             }
             _ => Err("first frame was neither hello nor resume".into()),
         }
     }
 
     /// Fresh serving state for a connection that handshook with `pk`
-    /// (`pk_n_len` modulus bytes on the wire): its linear executors, and
-    /// the governor's frame ceiling for that key width, this topology
-    /// and the negotiated packing.
+    /// (`pk_n_len` modulus bytes on the wire): its linear executors, the
+    /// fold layout for that key and this model, and the governor's
+    /// frame ceiling for that key width, this topology and the
+    /// negotiated packing.
     fn conn_state(
         &self,
         session: u64,
@@ -316,6 +318,7 @@ impl ModelProvider {
         ConnState {
             session,
             packing,
+            fold: packed::fold_layout(pk, &self.stages),
             execs: Arc::new(linear_execs(&self.stages, pk, self.seed, PartitionMode::Partitioned)),
             next_round: HashMap::new(),
             next_packed: HashMap::new(),
@@ -437,6 +440,7 @@ impl ModelProvider {
         }
         Ok(FrameDisposition::Execute(ExecJob {
             round,
+            fold: conn.fold,
             #[cfg(feature = "fault-injection")]
             poison: self.poison_seq == Some(seq),
             kind: JobKind::Item { msg },
@@ -464,6 +468,7 @@ impl ModelProvider {
                 } else {
                     conn.next_round.insert(seq, round + 1);
                 }
+                report.folded_replies += u64::from(out.folded);
                 Ok(vec![reply(report, &out)])
             }
             JobDone::Item { seq, out: Err(panic_payload), .. } => {
@@ -527,19 +532,22 @@ impl ModelProvider {
         reply(report, &ItemErrorMsg { seq, kind, detail: detail.to_string() })
     }
 
+    /// The Accept for `conn`: the session, the packing it was granted
+    /// and the fold layout its replies will use.
     fn accept_reply(
         &self,
         report: &mut ServeReport,
         pk_fingerprint: u64,
-        session: u64,
-        pack_slot_bits: u32,
+        conn: &ConnState,
     ) -> Bytes {
         let accept = AcceptMsg {
             version: PROTOCOL_VERSION,
             pk_fingerprint,
             topology: self.topology,
-            session,
-            pack_slot_bits,
+            session: conn.session,
+            pack_slot_bits: conn.packing.map_or(0, |s| s.slot_bits as u32),
+            fold_slot_bits: conn.fold.map_or(0, |s| s.slot_bits as u32),
+            fold_budget: conn.fold.map_or(0, |s| s.op_budget),
         };
         reply(report, &accept)
     }
@@ -655,6 +663,7 @@ impl ModelProvider {
         // item-level quarantine.
         Ok(FrameDisposition::Execute(ExecJob {
             round,
+            fold: None,
             #[cfg(feature = "fault-injection")]
             poison: self.poison_seq.is_some_and(|p| msg.seqs.contains(&p)),
             kind: JobKind::Packed { msg },
@@ -879,6 +888,7 @@ mod tests {
 
         let job = ExecJob {
             round: 0,
+            fold: None,
             kind: JobKind::Packed { msg },
             execs: Arc::clone(&conn.execs),
             #[cfg(feature = "fault-injection")]

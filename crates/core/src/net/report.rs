@@ -66,6 +66,11 @@ pub struct TransportReport {
     /// a client-side packing error. Each member is then replayed
     /// unpacked, so fallbacks cost latency, never results.
     pub packed_fallbacks: u64,
+    /// Linear replies that arrived folded into slot-packed ciphertexts
+    /// (DESIGN.md §8). Zero on a stream of per-item requests means
+    /// folding is off — no layout announced, or every request's values
+    /// fell outside it.
+    pub folded_rounds: u64,
     /// Whether the connection ended without a transport error.
     pub clean_shutdown: bool,
 }
@@ -119,6 +124,9 @@ pub struct ServeReport {
     /// (deadline, shed, quarantined member, panic, or a packing error);
     /// the client replays the members unpacked.
     pub packed_aborts: u64,
+    /// Per-item linear replies sent folded into slot-packed ciphertexts
+    /// (the request was flagged and the connection has a layout).
+    pub folded_replies: u64,
     /// Cross-session fused dispatches executed by the event loop's
     /// batcher (one per gather window that closed with work;
     /// [`ServeOptions::gather_window`]).
@@ -173,6 +181,7 @@ impl ServeReport {
         self.shed += other.shed;
         self.packed_rounds += other.packed_rounds;
         self.packed_aborts += other.packed_aborts;
+        self.folded_replies += other.folded_replies;
         self.batched_rounds += other.batched_rounds;
         self.batched_items += other.batched_items;
         self.exec_ns += other.exec_ns;
@@ -202,6 +211,7 @@ mod tests {
             deadline_expired: 4,
             quarantined: 1,
             shed: 2,
+            folded_replies: 6,
             oversize_frames: 3,
             evicted_slow: 2,
             budget_rejected: 1,
@@ -219,6 +229,7 @@ mod tests {
         assert_eq!(total.deadline_expired, 4);
         assert_eq!(total.quarantined, 1);
         assert_eq!(total.shed, 2);
+        assert_eq!(total.folded_replies, 6);
         assert_eq!(total.oversize_frames, 3);
         assert_eq!(total.evicted_slow, 2);
         assert_eq!(total.budget_rejected, 1);

@@ -206,6 +206,58 @@ fn abs_mass(weights: &[i64], input_weight: u64) -> u64 {
     })
 }
 
+/// Narrowest slot a folded reply is laid out in, the widening step, and
+/// the widest slot tried.
+const FOLD_SLOT_BITS: std::ops::RangeInclusive<usize> = 64..=112;
+const FOLD_SLOT_STEP: usize = 16;
+/// Slots widen only while the layout's value bound is below this: under
+/// it an ordinary activation at an ordinary scaling factor would already
+/// send its round unfolded.
+const FOLD_MIN_VALUE_BOUND: i64 = 1 << 40;
+
+/// The slot layout the model provider folds its linear replies into
+/// (DESIGN.md §8), or `None` when it folds nothing: a pure function of
+/// the client's key and the model, so every accept of a session —
+/// resumes included — announces the same one and nothing is stored.
+///
+/// The op budget is [`required_budget`]: if every plaintext entering a
+/// linear stage is inside the layout's value bound `B` (the client says
+/// so per request) and every bias and shift is too (checked here), then
+/// every output is within `±W·(B−1)` — a slot at weight `W`. Slots are
+/// 64 bits wide unless that leaves `B` below [`FOLD_MIN_VALUE_BOUND`].
+pub(crate) fn fold_layout(pk: &PublicKey, stages: &[MergedStage]) -> Option<PackingSpec> {
+    let budget = required_budget(stages);
+    // Every width the key and the budget's guard bits allow, narrowest
+    // first: take the first with bound enough, else the widest.
+    let candidates: Vec<PackingSpec> = FOLD_SLOT_BITS
+        .step_by(FOLD_SLOT_STEP)
+        .map_while(|slot_bits| PackingSpec::for_key(pk, slot_bits).ok())
+        .map(|spec| spec.with_budget(budget))
+        .filter(|spec| spec.check().is_ok())
+        .collect();
+    let spec = *candidates
+        .iter()
+        .find(|spec| spec.value_bound() >= FOLD_MIN_VALUE_BOUND)
+        .or(candidates.last())?;
+    (largest_constant(stages) < spec.value_bound().unsigned_abs()).then_some(spec)
+}
+
+/// The largest `|bias|` or `|shift|` any linear stage adds.
+fn largest_constant(stages: &[MergedStage]) -> u64 {
+    stages
+        .iter()
+        .filter(|s| s.role == StageRole::Linear)
+        .flat_map(|s| &s.ops)
+        .flat_map(|op| match op {
+            ScaledOp::Dense { bias, .. } | ScaledOp::Conv2d { bias, .. } => bias.as_slice(),
+            ScaledOp::Affine { shift, .. } => shift.as_slice(),
+            _ => &[],
+        })
+        .map(|c| c.unsigned_abs())
+        .max()
+        .unwrap_or(0)
+}
+
 /// The packing layout a wire message claims to use.
 pub(crate) fn msg_spec(msg: &PackedTensorMsg) -> PackingSpec {
     PackingSpec {
@@ -288,7 +340,7 @@ fn decrypt_positions(
     pk: &PublicKey,
     sk: &PrivateKey,
     workers: &WorkerPool,
-) -> Result<Vec<Vec<i64>>, PaillierError> {
+) -> Result<Vec<Vec<i128>>, PaillierError> {
     PackedCiphertext::decrypt_all(&reassemble(pk, msg)?, sk, workers)
 }
 
@@ -312,8 +364,7 @@ pub(crate) fn repack_nonlinear(
     let pk = nl.keypair.public();
     let sk = nl.keypair.private();
     let mut positions: Vec<Vec<i64>> = Vec::with_capacity(msg.cts.len());
-    for slots in decrypt_positions(&msg, &pk, &sk, workers)? {
-        let mut vals: Vec<i128> = slots.iter().map(|&v| v as i128).collect();
+    for mut vals in decrypt_positions(&msg, &pk, &sk, workers)? {
         nl.apply_ops(&mut vals);
         positions.push(
             vals.iter()
@@ -376,8 +427,7 @@ pub(crate) fn unpack_final(
     let decrypted = decrypt_positions(&msg, &pk, &sk, workers)?;
     let mut per_item: Vec<Vec<i128>> =
         vec![Vec::with_capacity(msg.cts.len()); msg.seqs.len()];
-    for slots in decrypted {
-        let mut vals: Vec<i128> = slots.iter().map(|&v| v as i128).collect();
+    for mut vals in decrypted {
         nl.apply_ops(&mut vals);
         for (item, &v) in per_item.iter_mut().zip(vals.iter()) {
             item.push(v);
@@ -461,6 +511,82 @@ mod tests {
         };
         assert_eq!(required_budget(&[nl]), 1);
         assert_eq!(required_budget(&[]), 1);
+    }
+
+    #[test]
+    fn fold_layout_is_64_bit_slots_sized_by_the_model_and_the_key() {
+        use crate::encapsulate::encapsulate;
+        use pp_nn::{zoo, Layer, Model, ScaledModel};
+        // A key of a given width, without the prime search: the layout
+        // reads only the modulus size.
+        let key = |bits: usize| {
+            let one = pp_bigint::BigUint::one();
+            PublicKey::from_n(&one.shl_bits(bits - 1) + &one)
+        };
+        let mut rng = StdRng::seed_from_u64(60);
+        let fanin = Model::new(
+            "fanin",
+            vec![1, 28, 28],
+            vec![
+                Layer::Flatten,
+                zoo::dense_layer(&mut rng, 784, 8),
+                Layer::ReLU,
+                zoo::dense_layer(&mut rng, 8, 10),
+                Layer::SoftMax,
+            ],
+        )
+        .unwrap();
+        // The benchmark's three models at its scaling factor.
+        for model in [
+            zoo::healthcare_3fc("fc3", 30, &mut rng).unwrap(),
+            fanin,
+            zoo::small_convnet("conv", (1, 8, 8), 2, 10, &mut rng).unwrap(),
+        ] {
+            let stages = encapsulate(&ScaledModel::from_model(&model, 10_000)).unwrap();
+            let budget = required_budget(&stages);
+            for (bits, slots) in [(2048, 31), (256, 3), (128, 1)] {
+                assert_eq!(
+                    fold_layout(&key(bits), &stages),
+                    Some(PackingSpec { slot_bits: 64, slots, op_budget: budget }),
+                    "{} under a {bits}-bit key",
+                    model.name()
+                );
+            }
+            assert_eq!(fold_layout(&key(64), &stages), None, "no 64-bit slot fits a 64-bit key");
+        }
+    }
+
+    #[test]
+    fn fold_layout_widens_for_heavy_rows_and_refuses_oversized_constants() {
+        let dense = |weight: i64, bias: i64| MergedStage {
+            role: StageRole::Linear,
+            ops: vec![ScaledOp::Dense {
+                weights: Tensor::from_vec(vec![1, 2], vec![weight, -weight]).unwrap(),
+                bias: vec![bias],
+            }],
+            input_shape: Shape::vector(2),
+            output_shape: Shape::vector(1),
+        };
+        let pk = keypair(38).public();
+        let layout = |stage: MergedStage| fold_layout(&pk, &[stage]);
+
+        // Row mass 2²³ + 1 leaves 64-bit slots a bound of 2³⁸: one step
+        // wider restores it (2⁵⁴), at the same three slots on this key.
+        let heavy = layout(dense(1 << 22, 0)).expect("a wider slot holds it");
+        assert_eq!((heavy.slot_bits, heavy.slots), (80, 3));
+        assert!(heavy.value_bound() >= FOLD_MIN_VALUE_BOUND);
+        // Mass 2⁶³ + 1 needs 67 guard bits: the widest slot, two per
+        // ciphertext here, is the first with a bound of 2⁴⁰ to spare.
+        let heaviest = layout(dense(1 << 62, 0)).expect("the widest slot holds it");
+        assert_eq!((heaviest.slot_bits, heaviest.slots), (112, 2));
+
+        // A bias the bound does not cover could carry an output past its
+        // slot with every input in range.
+        let light = layout(dense(3, 0)).expect("layout");
+        assert_eq!(light.slot_bits, 64);
+        assert!(layout(dense(3, light.value_bound() - 1)).is_some());
+        assert_eq!(layout(dense(3, light.value_bound())), None);
+        assert_eq!(layout(dense(3, -light.value_bound())), None);
     }
 
     #[test]
@@ -746,6 +872,7 @@ mod tests {
                 seq,
                 shape: vec![2],
                 obfuscated: false,
+                folded: false,
                 cts,
             };
             let enc = item_execs[0].execute(enc, &wp).unwrap();

@@ -23,19 +23,23 @@
 //!
 //! The linear round is written once, over the [`LinearAlgebra`]
 //! back-end: [`LinearStage::execute`] and its batch-packed form are
-//! codecs around it. The executors of a model are built in one place
-//! ([`linear_execs`], [`nonlinear_execs`]), so every party derives the
-//! same seeds and results match bit-for-bit across deployments.
+//! codecs around it. Output folding (DESIGN.md §8) is the per-item
+//! codec's last step on the model provider's side and the first step of
+//! [`NonLinearStage`]'s decrypt on the data provider's; the layout
+//! reaches both as an argument, from the connection that announced it.
+//! The executors of a model are built in one place ([`linear_execs`],
+//! [`nonlinear_execs`]), so every party derives the same seeds and
+//! results match bit-for-bit across deployments.
 
 use crate::encapsulate::{MergedStage, StageRole};
 use crate::encctx::EncCtx;
-use crate::messages::{EncTensorMsg, PackedTensorMsg, PlainTensorMsg};
+use crate::messages::{shape_len, EncTensorMsg, PackedTensorMsg, PlainTensorMsg};
 use crate::packed::{msg_spec, reassemble, PackedBackend, PACKED_PERM_BIT};
 use parking_lot::Mutex;
 use pp_nn::activation::sigmoid_scalar;
 use pp_nn::scaling::{div_round, ScaledModel, ScaledOp};
 use pp_obfuscate::Permutation;
-use pp_paillier::packing::PackedCiphertext;
+use pp_paillier::packing::{PackedCiphertext, PackingSpec};
 use pp_paillier::{shared_refill_cache, Ciphertext, Keypair, PublicKey, RandomnessPool};
 use pp_stream_runtime::wire::to_frame;
 use pp_stream_runtime::{Stage, StageContext, StreamError, WorkerPool};
@@ -150,8 +154,20 @@ impl EncryptStage {
             })
             .collect()
         });
-        EncTensorMsg { seq: msg.seq, shape: msg.shape, obfuscated: false, cts }
+        EncTensorMsg { seq: msg.seq, shape: msg.shape, obfuscated: false, folded: false, cts }
     }
+}
+
+/// Whether a request that encrypts `values` may ask for a folded reply:
+/// a layout was announced and every plaintext is inside its value
+/// bound — the premise under which `required_budget` keeps the linear
+/// stage's outputs inside their slots. One value outside and the round
+/// travels unfolded.
+pub(crate) fn may_fold(fold: Option<PackingSpec>, values: impl IntoIterator<Item = i128>) -> bool {
+    fold.is_some_and(|spec| {
+        let bound = u128::from(spec.value_bound().unsigned_abs());
+        values.into_iter().all(|v| v.unsigned_abs() < bound)
+    })
 }
 
 impl Stage for EncryptStage {
@@ -236,13 +252,37 @@ impl LinearStage {
     /// wrong length, which stops the pipeline cleanly instead of
     /// panicking its stage thread.
     pub fn execute(&self, msg: EncTensorMsg, pool: &WorkerPool) -> Result<EncTensorMsg, StreamError> {
+        self.execute_folding(msg, None, pool)
+    }
+
+    /// [`LinearStage::execute`] on a connection that announced the fold
+    /// layout `fold`: the reply to a request flagged `folded` carries
+    /// its (already permuted) outputs in `⌈outputs ÷ slots⌉` slot-packed
+    /// ciphertexts and the same flag. Without a layout, or on an
+    /// unflagged request, the reply is `execute`'s.
+    pub(crate) fn execute_folding(
+        &self,
+        msg: EncTensorMsg,
+        fold: Option<PackingSpec>,
+        pool: &WorkerPool,
+    ) -> Result<EncTensorMsg, StreamError> {
         let cts = msg.cts.iter().map(|b| Ciphertext::from_bytes(b)).collect();
         let (out, shape) = self.round(&self.pk, msg.seq, cts, pool)?;
+        let fold = fold.filter(|_| msg.folded);
+        let cts = match fold {
+            Some(spec) => PackedCiphertext::fold_all(&self.pk, spec, &out, pool)
+                .map_err(|e| StreamError::Stage(format!("output folding: {e}")))?
+                .iter()
+                .map(|group| group.ct.to_bytes())
+                .collect(),
+            None => out.iter().map(Ciphertext::to_bytes).collect(),
+        };
         Ok(EncTensorMsg {
             seq: msg.seq,
             shape: shape_to_wire(&shape),
             obfuscated: !self.is_last,
-            cts: out.iter().map(Ciphertext::to_bytes).collect(),
+            folded: fold.is_some(),
+            cts,
         })
     }
 
@@ -494,8 +534,21 @@ impl NonLinearStage {
     /// panicking) when a ciphertext decrypts outside the message space —
     /// the signature of a corrupt or hostile upstream reply.
     pub fn execute(&self, msg: EncTensorMsg, pool: &WorkerPool) -> Result<EncTensorMsg, StreamError> {
+        self.execute_folding(msg, None, pool)
+    }
+
+    /// [`NonLinearStage::execute`] on a connection whose server
+    /// announced the fold layout `fold`: a folded `msg` is unfolded, and
+    /// the re-encrypted tensor is flagged for a folded reply when its
+    /// plaintexts allow one ([`may_fold`]).
+    pub(crate) fn execute_folding(
+        &self,
+        msg: EncTensorMsg,
+        fold: Option<PackingSpec>,
+        pool: &WorkerPool,
+    ) -> Result<EncTensorMsg, StreamError> {
         assert!(!self.is_last, "final stage must use execute_final");
-        let values = self.decrypt_and_apply(&msg, pool)?;
+        let values = self.decrypt_and_apply(&msg, fold, pool)?;
         // Re-encrypt at scale F (fits i64 after rescaling). Range-check
         // before fanning out so an oversized activation is an error on
         // this item, not a worker panic.
@@ -515,13 +568,14 @@ impl NonLinearStage {
         // start), so a replay of this message reproduces its bytes.
         let base = shared_refill_cache().get(&pk);
         let seed = mix(self.seed ^ mix(msg.seq).rotate_left(17));
+        let folded = may_fold(fold, scaled.iter().map(|&v| i128::from(v)));
         let scaled = Arc::new(scaled);
         let n = scaled.len();
         let cts = pool.map_ranges(n, move |r| {
             let mut rng = StdRng::seed_from_u64(mix(seed ^ r.start as u64));
             r.map(|i| base.encrypt_i64(&pk, scaled[i], &mut rng).to_bytes()).collect::<Vec<_>>()
         });
-        Ok(EncTensorMsg { seq: msg.seq, shape: msg.shape, obfuscated: msg.obfuscated, cts })
+        Ok(EncTensorMsg { seq: msg.seq, shape: msg.shape, obfuscated: msg.obfuscated, folded, cts })
     }
 
     /// Final round (Steps 3.5–3.7): decrypt and produce the cleartext
@@ -531,26 +585,75 @@ impl NonLinearStage {
         msg: EncTensorMsg,
         pool: &WorkerPool,
     ) -> Result<PlainTensorMsg, StreamError> {
+        self.execute_final_folding(msg, None, pool)
+    }
+
+    /// [`NonLinearStage::execute_final`] under the announced layout
+    /// `fold` (see [`NonLinearStage::execute_folding`]).
+    pub(crate) fn execute_final_folding(
+        &self,
+        msg: EncTensorMsg,
+        fold: Option<PackingSpec>,
+        pool: &WorkerPool,
+    ) -> Result<PlainTensorMsg, StreamError> {
         assert!(self.is_last, "non-final stage must use execute");
         assert!(!msg.obfuscated, "final round arrives without obfuscation (Step 3.4)");
-        let values = self.decrypt_and_apply(&msg, pool)?;
+        let values = self.decrypt_and_apply(&msg, fold, pool)?;
         Ok(PlainTensorMsg { seq: msg.seq, shape: msg.shape, values })
     }
 
     fn decrypt_and_apply(
         &self,
         msg: &EncTensorMsg,
+        fold: Option<PackingSpec>,
         pool: &WorkerPool,
     ) -> Result<Vec<i128>, StreamError> {
         assert_eq!(self.stage.role, StageRole::NonLinear, "misconfigured stage");
+        let failed = |e: &dyn std::fmt::Display| {
+            StreamError::Stage(format!("decrypt failed in round {}: {e}", msg.seq))
+        };
+        // The shape is the peer's claim: it must be this stage's, or a
+        // reply of any other length would be decrypted and activated.
+        let len = self.stage.input_shape.len();
+        if shape_len(&msg.shape) != Some(len as u64) {
+            return Err(failed(&"reply's shape is not the stage's input shape"));
+        }
         let sk = self.keypair.private();
         // Decrypt in parallel (Step 2.1): the batch API splits each
         // ciphertext into its two CRT halves, so even a short tensor
         // saturates the pool at production key sizes.
-        let cts: Vec<Ciphertext> = msg.cts.iter().map(|b| Ciphertext::from_bytes(b)).collect();
-        let mut values = sk.try_decrypt_batch_i128(&cts, pool).map_err(|e| {
-            StreamError::Stage(format!("decrypt failed in round {}: {e}", msg.seq))
-        })?;
+        let cts = msg.cts.iter().map(|b| Ciphertext::from_bytes(b));
+        let mut values = if msg.folded {
+            // Unfold: one decryption per slot group, the slots flattened
+            // back into tensor order. Count, layout and slot range are
+            // the peer's claims; each is checked before it is used.
+            let spec = fold.ok_or_else(|| failed(&"folded reply, but no layout was announced"))?;
+            if len.div_ceil(spec.slots) != msg.cts.len() {
+                return Err(failed(&"folded reply's ciphertext count does not fit its shape"));
+            }
+            let pk = self.keypair.public();
+            let groups = spec
+                .fold_groups(len)
+                .zip(cts)
+                .map(|(run, ct)| {
+                    PackedCiphertext::from_parts(&pk, ct, spec, run.len(), spec.op_budget)
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| failed(&e))?;
+            let values: Vec<i128> = PackedCiphertext::decrypt_all(&groups, &sk, pool)
+                .map_err(|e| failed(&e))?
+                .into_iter()
+                .flatten()
+                .collect();
+            let limit =
+                u128::from(spec.op_budget) * u128::from(spec.value_bound().unsigned_abs() - 1);
+            if values.iter().any(|v| v.unsigned_abs() > limit) {
+                return Err(failed(&"folded slot outside the layout's value range"));
+            }
+            values
+        } else {
+            sk.try_decrypt_batch_i128(&cts.collect::<Vec<_>>(), pool).map_err(|e| failed(&e))?
+        };
         self.apply_ops(&mut values);
         Ok(values)
     }
@@ -797,7 +900,7 @@ impl StageChain {
 mod tests {
     use super::*;
     use crate::encapsulate::encapsulate;
-    use crate::packed::{pack_plain_batch, required_budget};
+    use crate::packed::{fold_layout, pack_plain_batch, required_budget};
     use pp_nn::{zoo, ScaledModel};
     use pp_paillier::packing::PackingSpec;
     use pp_stream_runtime::WorkerPool;
@@ -900,6 +1003,7 @@ mod tests {
             seq: 0,
             shape: shape_to_wire(conv_shape),
             obfuscated: false,
+            folded: false,
             cts: (0..conv_shape.len())
                 .map(|i| kp.public().encrypt_i64(i as i64, &mut rng2).to_bytes())
                 .collect(),
@@ -989,7 +1093,13 @@ mod tests {
             .iter()
             .map(|&m| kp.public().encrypt_i64(m, &mut rng).to_bytes())
             .collect();
-        let msg = |seq| EncTensorMsg { seq, shape: vec![5], obfuscated: true, cts: cts.clone() };
+        let msg = |seq| EncTensorMsg {
+            seq,
+            shape: vec![5],
+            obfuscated: true,
+            folded: false,
+            cts: cts.clone(),
+        };
 
         let first = nl.execute(msg(7), &pool).unwrap();
         let replay = nl.execute(msg(7), &pool).unwrap();
@@ -1030,6 +1140,7 @@ mod tests {
             seq,
             shape: vec![8],
             obfuscated: false,
+            folded: false,
             cts: (0..8)
                 .map(|i| kp.public().encrypt_i64(i, rng).to_bytes())
                 .collect(),
@@ -1071,6 +1182,7 @@ mod tests {
             seq: 9,
             shape: vec![4],
             obfuscated: true,
+            folded: false,
             cts: (0..4).map(|i| kp.public().encrypt_i64(i, &mut rng).to_bytes()).collect(),
         };
         let err = exec.execute(msg, &pool).unwrap_err();
@@ -1103,6 +1215,7 @@ mod tests {
                 seq: 9,
                 shape: packed.shape.clone(),
                 obfuscated: false,
+                folded: false,
                 cts: packed.cts.clone(),
             };
             let err = exec.execute(unpacked, &pool).unwrap_err();
@@ -1112,6 +1225,138 @@ mod tests {
             assert!(exec.perms.take(9, 0).is_none());
             assert!(exec.perms.take(PACKED_PERM_BIT, 0).is_none());
         }
+    }
+
+    /// A dense 4 → 7 model's two executors under a 256-bit key (three
+    /// 64-bit slots), the layout the provider would announce for them,
+    /// and an encrypted input.
+    fn foldable_round() -> (LinearStage, NonLinearStage, PackingSpec, EncTensorMsg, WorkerPool) {
+        let kp = Keypair::generate(256, &mut StdRng::seed_from_u64(50));
+        let model = zoo::mlp("m", &[4, 7], &mut StdRng::seed_from_u64(51)).unwrap();
+        let scaled = ScaledModel::from_model(&model, 100);
+        let stages = encapsulate(&scaled).unwrap();
+        let layout = fold_layout(&kp.public(), &stages).expect("the model folds under this key");
+        assert_eq!((layout.slot_bits, layout.slots), (64, 3));
+        let linear = linear_execs(&stages, &kp.public(), 9, PartitionMode::Partitioned).remove(0);
+        let nonlinear = nonlinear_execs(&stages, &kp, scaled.factor(), 9).remove(0);
+        let pool = WorkerPool::new(2);
+        let input = pp_tensor::Tensor::from_flat(vec![0.5, -0.25, 0.75, 0.1]);
+        let request =
+            encrypt_exec(kp.public(), 9, None).encrypt(plain_msg(&scaled, 3, &input), &pool);
+        (linear, nonlinear, layout, request, pool)
+    }
+
+    #[test]
+    fn folded_reply_unfolds_to_the_unfolded_reply() {
+        let (linear, nonlinear, layout, request, pool) = foldable_round();
+        let flagged = EncTensorMsg { folded: true, ..request.clone() };
+
+        // Without a layout the flag asks for nothing: `execute` answers a
+        // flagged request with the bytes it answers an unflagged one.
+        let plain_reply = linear.execute(request.clone(), &pool).unwrap();
+        assert!(!plain_reply.folded);
+        assert_eq!(plain_reply.cts.len(), 7);
+        assert_eq!(linear.execute(flagged.clone(), &pool).unwrap(), plain_reply);
+        // With one, only a flagged request is folded.
+        assert_eq!(linear.execute_folding(request, Some(layout), &pool).unwrap(), plain_reply);
+        let folded_reply = linear.execute_folding(flagged, Some(layout), &pool).unwrap();
+        assert!(folded_reply.folded);
+        assert_eq!(folded_reply.shape, plain_reply.shape);
+        assert_eq!(folded_reply.cts.len(), 3, "seven outputs in three slots each");
+
+        let want = nonlinear.execute_final(plain_reply, &pool).unwrap();
+        let got = nonlinear.execute_final_folding(folded_reply, Some(layout), &pool).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn hostile_folded_tensors_are_errors_not_values() {
+        let (linear, nonlinear, layout, request, pool) = foldable_round();
+        let pk = nonlinear.keypair.public();
+        let honest = linear
+            .execute_folding(EncTensorMsg { folded: true, ..request }, Some(layout), &pool)
+            .unwrap();
+        let refused = |msg: EncTensorMsg, fold, what: &str| {
+            let err = nonlinear.execute_final_folding(msg, fold, &pool).expect_err(what);
+            assert!(matches!(&err, StreamError::Stage(s) if s.contains("decrypt failed")), "{err}");
+        };
+
+        refused(honest.clone(), None, "folded, but this connection announced no layout");
+        let mut short = honest.clone();
+        short.cts.pop();
+        refused(short, Some(layout), "one ciphertext fewer than the shape needs");
+        let mut long = honest.clone();
+        long.cts.push(long.cts[0].clone());
+        refused(long, Some(layout), "one ciphertext more than the shape needs");
+        let mut unfolded_count = honest.clone();
+        unfolded_count.cts = vec![honest.cts[0].clone(); 7];
+        refused(unfolded_count, Some(layout), "one ciphertext per element under the folded flag");
+
+        // A slot one past `W·(B−1)`: only a value the stage could not
+        // have produced from in-bound inputs decodes there.
+        let limit = layout.op_budget as i128 * (layout.value_bound() as i128 - 1);
+        let mut rng = StdRng::seed_from_u64(52);
+        for outside in [limit + 1, -limit - 1] {
+            // (Seven outputs over three slots: runs of 3, 2 and 2; this
+            // is the second.)
+            let slots: Vec<Ciphertext> = [0, outside]
+                .iter()
+                .map(|&v| pk.encrypt_i64(i64::try_from(v).unwrap(), &mut rng))
+                .collect();
+            let forged = PackedCiphertext::fold(&pk, layout, &slots).unwrap();
+            let mut msg = honest.clone();
+            msg.cts[1] = forged.ct.to_bytes();
+            refused(msg, Some(layout), "a slot outside the layout's value range");
+        }
+        // The ends of the range themselves are values.
+        let slots: Vec<Ciphertext> = [limit, -limit]
+            .iter()
+            .map(|&v| pk.encrypt_i64(i64::try_from(v).unwrap(), &mut rng))
+            .collect();
+        let mut msg = honest.clone();
+        msg.cts[1] = PackedCiphertext::fold(&pk, layout, &slots).unwrap().ct.to_bytes();
+        assert!(nonlinear.execute_final_folding(msg, Some(layout), &pool).is_ok());
+    }
+
+    #[test]
+    fn only_in_bound_plaintexts_ask_for_a_folded_reply() {
+        let spec = PackingSpec { slot_bits: 64, slots: 3, op_budget: 1 << 10 };
+        let bound = spec.value_bound() as i128;
+        assert!(may_fold(Some(spec), [0, bound - 1, 1 - bound]));
+        assert!(may_fold(Some(spec), []));
+        assert!(!may_fold(Some(spec), [0, bound]));
+        assert!(!may_fold(Some(spec), [-bound]));
+        assert!(!may_fold(Some(spec), [i128::MIN]));
+        assert!(!may_fold(None, [0]));
+
+        // The re-encrypting stage applies it to what it encrypts.
+        let (_, _, layout, _, pool) = foldable_round();
+        let kp = Keypair::generate(256, &mut StdRng::seed_from_u64(50));
+        let relu = NonLinearStage {
+            keypair: kp.clone(),
+            stage: MergedStage {
+                role: StageRole::NonLinear,
+                ops: vec![ScaledOp::ReLU { rescale: 1 }],
+                input_shape: Shape::vector(2),
+                output_shape: Shape::vector(2),
+            },
+            factor: 10,
+            is_last: false,
+            seed: 3,
+        };
+        let mut rng = StdRng::seed_from_u64(53);
+        let mut msg = |values: [i64; 2]| EncTensorMsg {
+            seq: 1,
+            shape: vec![2],
+            obfuscated: true,
+            folded: false,
+            cts: values.iter().map(|&v| kp.public().encrypt_i64(v, &mut rng).to_bytes()).collect(),
+        };
+        let bound = layout.value_bound();
+        assert!(relu.execute_folding(msg([5, bound - 1]), Some(layout), &pool).unwrap().folded);
+        assert!(!relu.execute_folding(msg([5, bound]), Some(layout), &pool).unwrap().folded);
+        assert!(!relu.execute_folding(msg([5, 6]), None, &pool).unwrap().folded);
+        assert!(!relu.execute(msg([5, 6]), &pool).unwrap().folded);
     }
 
     #[test]
@@ -1136,6 +1381,7 @@ mod tests {
             seq: 0,
             shape: vec![2],
             obfuscated: true,
+            folded: false,
             cts: (0..2).map(|i| kp.public().encrypt_i64(i, &mut rng).to_bytes()).collect(),
         };
         let metrics = StageMetrics::default();

@@ -38,6 +38,17 @@
 //! while the weight stays within budget. Every operation **checks** the
 //! budget and returns a typed [`PaillierError`] instead of corrupting
 //! slots.
+//!
+//! ## Folding unpacked ciphertexts into slots
+//!
+//! The slots need not be filled at encryption time. Ciphertexts of
+//! small signed values `vᵢ` fold into one packed ciphertext
+//! homomorphically, `Π ctᵢ^(2^{i·s})` — by Horner, `s` squarings and one
+//! multiply per element — plus one `g^{W·2B·ones}` multiply that lifts
+//! every slot to the offset encoding at weight `W`
+//! ([`PackedCiphertext::fold`]). The folding party never learns the
+//! values; whoever produced them must guarantee `|vᵢ| ≤ W·(B−1)`, or
+//! slots borrow from their neighbours.
 
 use crate::ciphertext::Ciphertext;
 use crate::dot::{invert_all_mont, signed_products};
@@ -46,6 +57,8 @@ use pp_bigint::{BigUint, Limb};
 use pp_stream_runtime::pool::WorkerPool;
 use rand::Rng;
 use std::cell::OnceCell;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Layout and operation budget of a packed ciphertext.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,6 +145,22 @@ impl PackingSpec {
             m = &m + &BigUint::one();
         }
         m
+    }
+
+    /// How a tensor of `len` values spreads over folded ciphertexts:
+    /// `⌈len ÷ slots⌉` runs of consecutive positions, as even as they
+    /// come (the first `len mod groups` hold one more), so the longest
+    /// Horner chain is as short as the ciphertext count allows. Both
+    /// parties derive it from `(len, slots)` alone.
+    pub fn fold_groups(&self, len: usize) -> impl Iterator<Item = Range<usize>> {
+        let groups = len.div_ceil(self.slots.max(1));
+        let base = len.checked_div(groups).unwrap_or(0);
+        let longer = len.checked_rem(groups).unwrap_or(0);
+        (0..groups).scan(0, move |start, g| {
+            let run = *start..*start + base + usize::from(g < longer);
+            *start = run.end;
+            Some(run)
+        })
     }
 
     /// Capacity check against a key: all slots must fit the usable
@@ -300,6 +329,70 @@ impl PackedCiphertext {
         Ok(PackedCiphertext { ct, spec, used, weight })
     }
 
+    /// Folds up to `spec.slots` unpacked ciphertexts into one packed
+    /// ciphertext at weight `spec.op_budget`: slot `i` decodes to the
+    /// plaintext of `cts[i]`, provided every plaintext satisfies
+    /// `|v| ≤ W·(B−1)` (module docs). Horner in the Montgomery domain,
+    /// highest slot first: `slot_bits` squarings and one multiply per
+    /// element, no table, then the offset multiply.
+    pub fn fold(
+        pk: &PublicKey,
+        spec: PackingSpec,
+        cts: &[Ciphertext],
+    ) -> Result<Self, PaillierError> {
+        spec.check()?;
+        spec.check_key(pk)?;
+        let Some((top, lower)) = cts.split_last() else {
+            return Err(PaillierError::InvalidPacking("nothing to fold".into()));
+        };
+        if cts.len() > spec.slots {
+            return Err(PaillierError::InvalidPacking(format!(
+                "{} ciphertexts exceed {} slots",
+                cts.len(),
+                spec.slots
+            )));
+        }
+        let ctx = pk.ctx();
+        let mut scratch = ctx.scratch();
+        let mut acc = ctx.to_mont(top.raw());
+        for ct in lower.iter().rev() {
+            for _ in 0..spec.slot_bits {
+                ctx.mont_sqr_inplace(&mut acc, &mut scratch);
+            }
+            ctx.mont_mul_inplace(&mut acc, &ctx.to_mont(ct.raw()), &mut scratch);
+        }
+        let weight = spec.op_budget;
+        let offset = weight as u128 * spec.offset() as u128;
+        let residue = signed_broadcast_residue(pk, &spec, cts.len(), offset, false)?;
+        ctx.mont_mul_inplace(&mut acc, &ctx.to_mont(&pk.g_pow_encoded(&residue)), &mut scratch);
+        Ok(PackedCiphertext {
+            ct: Ciphertext::new(ctx.from_mont(&acc)),
+            spec,
+            used: cts.len(),
+            weight,
+        })
+    }
+
+    /// Folds a whole tensor: one [`PackedCiphertext::fold`] per run of
+    /// [`PackingSpec::fold_groups`], the runs queued on `workers` and
+    /// taken by whichever is free. The result depends on the inputs and
+    /// the layout only, never on the pool.
+    pub fn fold_all(
+        pk: &PublicKey,
+        spec: PackingSpec,
+        cts: &[Ciphertext],
+        workers: &WorkerPool,
+    ) -> Result<Vec<Self>, PaillierError> {
+        let groups: Vec<Range<usize>> = spec.fold_groups(cts.len()).collect();
+        let (pk, cts) = (pk.clone(), Arc::<[Ciphertext]>::from(cts));
+        workers
+            .map_chunks(groups.len(), 1, move |run| {
+                run.map(|g| PackedCiphertext::fold(&pk, spec, &cts[groups[g].clone()])).collect()
+            })
+            .into_iter()
+            .collect()
+    }
+
     /// Accumulated operation weight.
     pub fn weight(&self) -> u64 {
         self.weight
@@ -401,7 +494,7 @@ impl PackedCiphertext {
     /// Decrypts and unpacks the active slots, stripping `weight·2B` from
     /// each.
     pub fn decrypt(&self, sk: &PrivateKey) -> Result<Vec<i64>, PaillierError> {
-        self.unpack_residue(sk.decrypt(&self.ct))
+        narrow(self.unpack_residue(sk.decrypt(&self.ct))?)
     }
 
     /// Like [`PackedCiphertext::decrypt`], but splits the one big
@@ -413,19 +506,21 @@ impl PackedCiphertext {
         sk: &PrivateKey,
         workers: &WorkerPool,
     ) -> Result<Vec<i64>, PaillierError> {
-        self.unpack_residue(sk.decrypt_crt_parallel(&self.ct, workers))
+        narrow(self.unpack_residue(sk.decrypt_crt_parallel(&self.ct, workers))?)
     }
 
     /// Decrypts and unpacks a tensor's packed positions in one dispatch:
     /// the CRT halves of all positions go through
     /// [`PrivateKey::decrypt_batch`] together, where a
     /// [`PackedCiphertext::decrypt_parallel`] per position would wake and
-    /// join the workers once for every two half exponentiations.
+    /// join the workers once for every two half exponentiations. Slot
+    /// values come back at full width: a folded slot wider than 64 bits
+    /// may hold a value `i64` cannot.
     pub fn decrypt_all(
         positions: &[PackedCiphertext],
         sk: &PrivateKey,
         workers: &WorkerPool,
-    ) -> Result<Vec<Vec<i64>>, PaillierError> {
+    ) -> Result<Vec<Vec<i128>>, PaillierError> {
         let cts: Vec<Ciphertext> = positions.iter().map(|p| p.ct.clone()).collect();
         positions
             .iter()
@@ -435,7 +530,7 @@ impl PackedCiphertext {
     }
 
     /// Unpacks a decrypted residue into the active slots.
-    fn unpack_residue(&self, m: BigUint) -> Result<Vec<i64>, PaillierError> {
+    fn unpack_residue(&self, m: BigUint) -> Result<Vec<i128>, PaillierError> {
         let offset_total = (self.weight as u128)
             .checked_mul(self.spec.offset() as u128)
             .and_then(|o| i128::try_from(o).ok())
@@ -447,12 +542,19 @@ impl PackedCiphertext {
             // `slot_bits` are exactly this slot.
             let slot = rest.low_bits(self.spec.slot_bits);
             let raw = slot.to_u128().ok_or(PaillierError::MessageOutOfRange)? as i128;
-            let v = raw - offset_total;
-            out.push(i64::try_from(v).map_err(|_| PaillierError::MessageOutOfRange)?);
+            out.push(raw - offset_total);
             rest = rest.shr_bits(self.spec.slot_bits);
         }
         Ok(out)
     }
+}
+
+/// Slot values as `i64`, for the layouts whose bound keeps them there.
+fn narrow(values: Vec<i128>) -> Result<Vec<i64>, PaillierError> {
+    values
+        .into_iter()
+        .map(|v| i64::try_from(v).map_err(|_| PaillierError::MessageOutOfRange))
+        .collect()
 }
 
 /// A batch's packed inputs with per-ciphertext Montgomery residues,
@@ -683,7 +785,10 @@ mod tests {
                 PackedCiphertext::encrypt(&pk, spec, &values, &mut rng).unwrap()
             })
             .collect();
-        let want: Vec<Vec<i64>> = positions.iter().map(|p| p.decrypt(&sk).unwrap()).collect();
+        let want: Vec<Vec<i128>> = positions
+            .iter()
+            .map(|p| p.decrypt(&sk).unwrap().into_iter().map(i128::from).collect())
+            .collect();
         for workers in [WorkerPool::new(2), WorkerPool::inline()] {
             assert_eq!(PackedCiphertext::decrypt_all(&positions, &sk, &workers).unwrap(), want);
             assert!(PackedCiphertext::decrypt_all(&[], &sk, &workers).unwrap().is_empty());

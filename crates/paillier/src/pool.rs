@@ -251,17 +251,6 @@ impl RandomnessPool {
         }
     }
 
-    /// Precomputes `count` factors the pre-fixed-base way: a fresh
-    /// `r ∈ Z*_n` and a full-width `pow_mod` per factor. Kept as the
-    /// reference implementation the benches race against.
-    pub fn refill_pow_mod<R: Rng + ?Sized>(&mut self, count: usize, rng: &mut R) {
-        for _ in 0..count {
-            let r = random_coprime(rng, self.pk.n());
-            let rn = self.pk.ctx().pow_mod(&r, self.pk.n());
-            self.factors.push_back(rn);
-        }
-    }
-
     /// Precomputes `count` factors across a [`WorkerPool`], keeping the
     /// exponentiations off the request path. Each worker chunk derives
     /// its own deterministic RNG from `seed` and its start index, so
@@ -587,18 +576,6 @@ mod tests {
         p1.refill(1, &mut rng);
         let c = p1.encrypt_i64(7, &mut rng);
         assert_eq!(kp.private().decrypt_i64(&c), 7);
-    }
-
-    #[test]
-    fn refill_pow_mod_still_produces_valid_factors() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let kp = Keypair::generate(128, &mut rng);
-        let mut pool = RandomnessPool::new(kp.public());
-        pool.refill_pow_mod(2, &mut rng);
-        for m in [42i64, -42] {
-            let c = pool.encrypt_i64(m, &mut rng);
-            assert_eq!(kp.private().decrypt_i64(&c), m);
-        }
     }
 
     #[test]

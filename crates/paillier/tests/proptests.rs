@@ -1,7 +1,8 @@
 //! Property tests for Paillier homomorphic semantics (paper Eqs. 1–3).
 
 use pp_paillier::packing::{PackedCiphertext, PackedMontInputs, PackingSpec};
-use pp_paillier::Keypair;
+use pp_paillier::{Keypair, PaillierError};
+use pp_stream_runtime::WorkerPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,8 +17,163 @@ fn keypair() -> &'static Keypair {
     })
 }
 
+/// The layout the fold properties run under: four 40-bit slots on the
+/// shared key, at weight 4 — so a slot holds up to `±4·(2³⁶ − 1)`.
+fn fold_spec() -> PackingSpec {
+    PackingSpec::for_key(&keypair().public(), 40).unwrap().with_budget(4)
+}
+
+/// A slot value from a selector: mostly anywhere in `±limit`, now and
+/// then exactly at either end or at zero.
+fn slot_value(edge: u8, raw: i64, limit: i64) -> i64 {
+    match edge % 8 {
+        0 => limit,
+        1 => -limit,
+        2 => 0,
+        _ => raw % (limit + 1),
+    }
+}
+
+#[test]
+fn fold_groups_partition_a_tensor_evenly() {
+    let spec = PackingSpec { slot_bits: 64, slots: 31, op_budget: 1 << 17 };
+    for len in [0usize, 1, 2, 30, 31, 32, 62, 63, 72, 93, 94, 784] {
+        let groups: Vec<_> = spec.fold_groups(len).collect();
+        assert_eq!(groups.len(), len.div_ceil(31), "len {len}");
+        let mut next = 0;
+        for run in &groups {
+            assert_eq!(run.start, next, "len {len}: runs are consecutive");
+            assert!(!run.is_empty() && run.len() <= 31, "len {len}: {run:?}");
+            next = run.end;
+        }
+        assert_eq!(next, len, "len {len}: every position is in a run");
+        let longest = groups.iter().map(|r| r.len()).max().unwrap_or(0);
+        let shortest = groups.iter().map(|r| r.len()).min().unwrap_or(0);
+        assert!(longest - shortest <= 1, "len {len}: {groups:?}");
+    }
+    assert_eq!(spec.fold_groups(72).map(|r| r.len()).collect::<Vec<_>>(), vec![24, 24, 24]);
+}
+
+#[test]
+fn fold_all_gives_the_same_bytes_on_every_pool() {
+    // 72 outputs over 31 slots is three runs of 24: more runs than two
+    // workers, fewer than four. Which worker folds which run must not
+    // show in the result.
+    let mut rng = StdRng::seed_from_u64(0xF01D);
+    let kp = Keypair::generate(256, &mut rng);
+    let pk = kp.public();
+    let spec = PackingSpec { slot_bits: 8, slots: 31, op_budget: 2 };
+    let limit = 2 * (spec.value_bound() - 1);
+    let values: Vec<i64> = (0..72).map(|i| (i * 37 % (2 * limit + 1)) - limit).collect();
+    let cts: Vec<_> = values.iter().map(|&v| pk.encrypt_i64(v, &mut rng)).collect();
+
+    let inline = PackedCiphertext::fold_all(&pk, spec, &cts, &WorkerPool::inline()).unwrap();
+    assert_eq!(inline.len(), 3);
+    let decoded: Vec<i64> =
+        inline.iter().flat_map(|group| group.decrypt(&kp.private()).unwrap()).collect();
+    assert_eq!(decoded, values);
+    for workers in [1usize, 2, 4] {
+        let pooled =
+            PackedCiphertext::fold_all(&pk, spec, &cts, &WorkerPool::new(workers)).unwrap();
+        assert_eq!(pooled.len(), inline.len());
+        for (a, b) in pooled.iter().zip(&inline) {
+            assert_eq!(a.ct.to_bytes(), b.ct.to_bytes(), "{workers} workers");
+            assert_eq!((a.used(), a.weight()), (b.used(), b.weight()));
+        }
+    }
+}
+
+#[test]
+fn fold_refuses_what_the_layout_cannot_hold() {
+    let kp = keypair();
+    let pk = kp.public();
+    let spec = fold_spec();
+    let mut rng = StdRng::seed_from_u64(9);
+    let cts: Vec<_> = (0..=spec.slots as i64).map(|v| pk.encrypt_i64(v, &mut rng)).collect();
+    assert!(matches!(
+        PackedCiphertext::fold(&pk, spec, &cts),
+        Err(PaillierError::InvalidPacking(_))
+    ));
+    assert!(matches!(
+        PackedCiphertext::fold(&pk, spec, &[]),
+        Err(PaillierError::InvalidPacking(_))
+    ));
+    // One slot more than the key's plaintext space holds.
+    let wide = PackingSpec { slots: spec.slots + 1, ..spec };
+    for refused in [
+        PackedCiphertext::fold(&pk, wide, &cts[..2]).map(|_| ()),
+        PackedCiphertext::fold_all(&pk, wide, &cts, &WorkerPool::inline()).map(|_| ()),
+    ] {
+        assert!(matches!(refused, Err(PaillierError::InvalidPacking(_))));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Folding unpacked ciphertexts and decrypting the slots returns
+    /// their plaintexts in order, for every occupancy and every signed
+    /// value a slot at that weight can hold — the ends included.
+    #[test]
+    fn fold_then_decrypt_returns_the_values_in_order(
+        picks in proptest::collection::vec((any::<u8>(), any::<i64>()), 1..=4),
+        seed in any::<u64>(),
+    ) {
+        let kp = keypair();
+        let pk = kp.public();
+        let spec = fold_spec();
+        let limit = spec.op_budget as i64 * (spec.value_bound() - 1);
+        let values: Vec<i64> =
+            picks.iter().map(|&(edge, raw)| slot_value(edge, raw, limit)).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cts: Vec<_> = values.iter().map(|&v| pk.encrypt_i64(v, &mut rng)).collect();
+        let folded = PackedCiphertext::fold(&pk, spec, &cts).unwrap();
+        prop_assert_eq!(folded.used(), values.len());
+        prop_assert_eq!(folded.weight(), spec.op_budget);
+        prop_assert_eq!(folded.decrypt(&kp.private()).unwrap(), values);
+    }
+
+    /// A fold is the packed ciphertext that packing at encryption time
+    /// and adding would have built: same occupancy, weight and slots.
+    #[test]
+    fn fold_agrees_with_packed_encrypt_and_add(
+        picks in proptest::collection::vec((any::<u8>(), any::<i64>()), 1..=4),
+        seed in any::<u64>(),
+    ) {
+        let kp = keypair();
+        let pk = kp.public();
+        let spec = fold_spec();
+        let per_part = spec.value_bound() - 1;
+        let limit = spec.op_budget as i64 * per_part;
+        let values: Vec<i64> =
+            picks.iter().map(|&(edge, raw)| slot_value(edge, raw, limit)).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        // Each value as `op_budget` addends inside the fresh-encryption
+        // bound, one packed ciphertext per addend.
+        let mut rest = values.clone();
+        let mut sum: Option<PackedCiphertext> = None;
+        for _ in 0..spec.op_budget {
+            let part: Vec<i64> = rest.iter().map(|&v| v.clamp(-per_part, per_part)).collect();
+            for (r, p) in rest.iter_mut().zip(&part) {
+                *r -= p;
+            }
+            let packed = PackedCiphertext::encrypt(&pk, spec, &part, &mut rng).unwrap();
+            sum = Some(match sum {
+                Some(acc) => acc.add(&pk, &packed).unwrap(),
+                None => packed,
+            });
+        }
+        let sum = sum.unwrap();
+
+        let cts: Vec<_> = values.iter().map(|&v| pk.encrypt_i64(v, &mut rng)).collect();
+        let folded = PackedCiphertext::fold(&pk, spec, &cts).unwrap();
+        prop_assert_eq!((folded.used(), folded.weight()), (sum.used(), sum.weight()));
+        prop_assert_eq!(
+            folded.decrypt(&kp.private()).unwrap(),
+            sum.decrypt(&kp.private()).unwrap()
+        );
+    }
 
     #[test]
     fn roundtrip(m in any::<i32>()) {
@@ -202,7 +358,7 @@ proptest! {
         let kp = keypair();
         let (pk, sk) = (kp.public(), kp.private());
         let mut rng = StdRng::seed_from_u64(ms[0] as u64 ^ (ms.len() as u64) << 40);
-        let workers = pp_stream_runtime::WorkerPool::new(2);
+        let workers = WorkerPool::new(2);
         let cts: Vec<_> = ms.iter().map(|&m| pk.encrypt_i64(m as i64, &mut rng)).collect();
         for (c, &m) in cts.iter().zip(&ms) {
             prop_assert_eq!(sk.decrypt(c), sk.decrypt_crt_parallel(c, &workers));

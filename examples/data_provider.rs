@@ -120,6 +120,13 @@ fn main() {
         session.session(),
         session.transport().connect_attempts
     );
+    match session.fold_layout() {
+        Some(layout) => println!(
+            "[data-provider] output folding: {}-bit slots x {} per reply ciphertext, budget {}",
+            layout.slot_bits, layout.slots, layout.op_budget
+        ),
+        None => println!("[data-provider] output folding: the provider announced no layout"),
+    }
 
     let inputs: Vec<Tensor<f64>> = (0..3u64)
         .map(|seq| {
@@ -160,6 +167,10 @@ fn main() {
         final_report.items_replayed,
         final_report.faults_injected,
         final_report.clean_shutdown,
+    );
+    println!(
+        "[data-provider] folding: {} linear replies arrived folded",
+        final_report.folded_rounds
     );
     if final_report.packed_items + final_report.packed_fallbacks > 0 {
         println!(

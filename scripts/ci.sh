@@ -13,10 +13,16 @@ cd "$(dirname "$0")/.."
 # Serving gate: 64 concurrent sessions through the event loop, failing
 # on client/server counter mismatch, batched per-item compute > 1.25x
 # per-session, or p99 > 3x the committed BENCH_serving.json baseline.
+# Then output folding by name: the same streams folded and unfolded
+# (equal outputs, one decrypt per slot group), and a killed connection
+# that resumes, replays bit-identically and goes on folding.
 run_serving_gate() {
     echo "==> serving gate: 64-client smoke, counters balanced, p99 vs BENCH_serving.json"
     cargo run --release -p pp-bench --bin bench_serving -- --smoke
     cargo test -p pp-stream --test soak -q
+    echo "==> serving gate: folded replies equal unfolded ones, and survive a resume"
+    cargo test -p pp-stream --lib -q -- folded_streams_equal an_input_past_the_value_bound
+    PP_FAULT_SEED=1 cargo test -p pp-stream --test chaos -q -- chaos_folded_kill_resumes
 }
 
 # Crash gate: SIGKILL a real server child mid-stream under two fixed
@@ -80,6 +86,11 @@ cargo test -q
 echo "==> loopback two-process deployment example"
 cargo run --release --example distributed_inference
 
+# Output folding has no switch, so every suite below runs with it on:
+# the provider announces a layout for any key that holds a 64-bit slot
+# (one slot per ciphertext at these suites' 128-bit keys, three at the
+# 256-bit keys of the folding tests), and every in-bound request is
+# answered folded. No seed or gate is run a second time for it.
 echo "==> chaos soak under two fixed fault seeds"
 PP_FAULT_SEED=1 cargo test -p pp-stream --test chaos -q
 PP_FAULT_SEED=2 cargo test -p pp-stream --test chaos -q
@@ -101,7 +112,8 @@ cargo build -p pp-stream --no-default-features
 
 echo "==> kernel gate: fused dot <= naive fold, fixed-base encrypt < full-width encrypt,"
 echo "    batched-inversion dot rows <= per-row, fixed-base refill <= pow_mod refill,"
-echo "    16-ciphertext batch decrypt <= 16 sequential at 2048 bits (15% grace on single-core hosts)"
+echo "    16-ciphertext batch decrypt <= 16 sequential at 2048 bits (15% grace on single-core hosts),"
+echo "    folding 31 ciphertexts <= 0.25x the 30 decrypts it removes at 2048 bits"
 cargo run --release -p pp-bench --bin bench_kernels -- --smoke
 
 echo "==> packed-dot gate: per-item packed <= unpacked at batch >= 8, >= 4x at batch 32"

@@ -138,6 +138,47 @@ fn chaos_kill_every_17_forces_replays() {
 }
 
 #[test]
+fn chaos_folded_kill_resumes_replays_bit_identically_and_keeps_folding() {
+    // Output folding across a dropped connection (DESIGN.md §8): at
+    // 256-bit keys a reply holds three outputs per ciphertext. A kill on
+    // every 17th sent frame lands mid-item sooner or later; the resume
+    // re-announces the layout, the replayed item and every item after it
+    // still come back folded, and the outputs are the in-process
+    // pipeline's bit for bit.
+    let scaled = mlp_model("chaos-fold-mlp");
+    let mut config = NetConfig::small_test(256);
+    config.fault =
+        Some(FaultPlan { seed: fault_seed(), kill_every: Some(17), ..Default::default() });
+    let server = serve(&scaled, &config);
+
+    let mut session =
+        NetworkedSession::connect(server.addr(), scaled.clone(), &config).expect("connect");
+    let layout = session.fold_layout().expect("layout announced");
+    assert_eq!(layout.slots, 3);
+    let items = stream_inputs(40);
+    let (got, _) = session.infer_stream(&items).expect("the kills are absorbed");
+    assert_eq!(session.fold_layout(), Some(layout), "the resume-accept announced it again");
+    let transport = session.shutdown();
+    assert!(transport.reconnects > 0, "the kill schedule must fire");
+    assert!(transport.items_replayed > 0, "a mid-item kill must be replayed");
+    // Two linear rounds per item: every completed attempt was folded,
+    // before the first resume and after the last.
+    assert!(transport.folded_rounds >= 80, "{transport:?}");
+
+    let report = server.shutdown();
+    assert_eq!(report.replayed_items, transport.items_replayed);
+    assert!(report.folded_replies >= transport.folded_rounds, "{report:?}");
+
+    let mut local_cfg = PpStreamConfig::small_test(256);
+    local_cfg.seed = config.seed;
+    let local = PpStream::new(scaled, local_cfg).expect("in-process session");
+    let (want, _) = local.infer_stream(&items).expect("in-process inference");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.data(), w.data(), "item {i} diverged from the in-process pipeline");
+    }
+}
+
+#[test]
 fn corrupt_frame_is_fatal_not_silent() {
     // Bit corruption in a reply's header region must surface as an
     // immediate error — never silently wrong ciphertexts, and never an

@@ -262,6 +262,8 @@ fn mid_stream_kill_is_a_transport_error_naming_the_stage() {
             topology: hello.topology,
             session: 1,
             pack_slot_bits: 0,
+            fold_slot_bits: 0,
+            fold_budget: 0,
         };
         tx.send_payload(to_frame(&accept)).expect("send accept");
         // Connection drops here: the client's first request dies.

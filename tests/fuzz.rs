@@ -91,6 +91,9 @@ fn corpus(scaled: &ScaledModel, config: &NetConfig) -> Vec<RawFrame> {
             seq: i,
             shape: vec![2],
             obfuscated: false,
+            // Half the corpus asks for a folded reply, so the flag byte
+            // is under mutation with both of its bits in use.
+            folded: i % 2 == 1,
             cts: vec![vec![0x5A; 16], vec![0xA5; 16]],
         };
         let mut f = RawFrame::new(i + 1, to_frame(&item).to_vec());

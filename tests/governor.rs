@@ -3,10 +3,16 @@
 //! *before* allocation with the server still serving afterwards, and a
 //! client that handshakes then never reads its replies must be evicted
 //! at the write-backlog cap — cleanly, with its session still
-//! resumable through the journal path.
+//! resumable through the journal path. The other direction too: a
+//! provider (or anything on the path) that answers with junk *folded*
+//! replies must cost the client an item or the call, never a panic and
+//! never a value.
 
+mod common;
+
+use common::{relay, Hop};
 use pp_nn::{zoo, ScaledModel};
-use pp_paillier::Keypair;
+use pp_paillier::{Ciphertext, Keypair, PublicKey};
 use pp_stream::encapsulate_with;
 use pp_stream::governor::GovernorConfig;
 use pp_stream::messages::{
@@ -14,7 +20,8 @@ use pp_stream::messages::{
 };
 use pp_stream::net::{pk_fingerprint, topology_digest};
 use pp_stream::{
-    FsyncPolicy, JournalConfig, ModelProvider, NetConfig, NetworkedSession, ServeOptions,
+    FsyncPolicy, ItemErrorKind, ItemOutcome, JournalConfig, ModelProvider, NetConfig,
+    NetworkedSession, ServeOptions,
 };
 use pp_stream_runtime::link::NO_DEADLINE;
 use pp_stream_runtime::wire::{from_frame, to_frame, WireEncode};
@@ -215,6 +222,7 @@ fn never_reading_client_is_evicted_then_resumes_cleanly() {
         seq,
         shape: vec![1],
         obfuscated: false,
+        folded: false,
         cts: vec![vec![0xAB; 8]],
     };
     let mut evicted_mid_flood = false;
@@ -267,4 +275,152 @@ fn never_reading_client_is_evicted_then_resumes_cleanly() {
     assert_eq!(report.panicked_connections, 0, "eviction is clean: {report:?}");
     assert!(report.clean_shutdown, "the Bye was honored: {report:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The junk-reply table for output folding (DESIGN.md §8): five ways a
+/// folded reply can lie, each played by a relay between a real client
+/// and a real provider at 256-bit keys (three 64-bit slots).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum FoldedJunk {
+    /// Flagged folded, one ciphertext short of `⌈shape ÷ slots⌉`.
+    WrongCount,
+    /// Flagged folded on a connection whose Accept announced no layout.
+    NoLayout,
+    /// Folded in answer to a request the client did not flag — here one
+    /// whose input is past the value bound, so the slots really do
+    /// overflow into each other.
+    UnaskedFold,
+    /// A slot whose content no in-range value encodes to.
+    SlotOutOfRange,
+    /// One element longer than the stage's output, shape and ciphertext
+    /// count agreeing with each other. Played on an unfolded reply (the
+    /// input is past the value bound), where the stage-shape check is
+    /// all that stands in its way; a folded one also trips the count.
+    WrongShape,
+}
+
+#[test]
+fn junk_folded_replies_cost_an_item_or_the_call_never_a_value() {
+    let scaled = mlp_model("governor-fold-mlp");
+    let config = NetConfig::small_test(256);
+    let provider = Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = provider.serve_forever(listener, ServeOptions::default()).expect("serve");
+    let server = handle.addr();
+    let reference = |input: &Tensor<f64>| {
+        scaled.forward_scaled(&scaled.scale_input(input)).expect("reference")
+    };
+
+    for junk in [
+        FoldedJunk::WrongCount,
+        FoldedJunk::NoLayout,
+        FoldedJunk::UnaskedFold,
+        FoldedJunk::SlotOutOfRange,
+        FoldedJunk::WrongShape,
+    ] {
+        let mut key: Option<PublicKey> = None;
+        let mut spoiled = false;
+        let (addr, relaying) = relay(server, move |hop, payload| {
+            let tag = peek_tag(&payload);
+            match (hop, tag) {
+                (Hop::ToServer, Some(MsgTag::Hello)) => {
+                    let hello: HelloMsg = from_frame(payload.clone()).expect("hello");
+                    key = Some(PublicKey::from_n(pp_bigint::BigUint::from_bytes_be(&hello.pk_n)));
+                    payload
+                }
+                (Hop::ToClient, Some(MsgTag::Accept)) if junk == FoldedJunk::NoLayout => {
+                    let accept: AcceptMsg = from_frame(payload).expect("accept");
+                    to_frame(&AcceptMsg { fold_slot_bits: 0, fold_budget: 0, ..accept })
+                }
+                (Hop::ToServer, Some(MsgTag::EncTensor)) if junk == FoldedJunk::UnaskedFold => {
+                    let request: EncTensorMsg = from_frame(payload).expect("request");
+                    to_frame(&EncTensorMsg { folded: true, ..request })
+                }
+                // Only the first reply is spoiled: the item after it
+                // must come through untouched.
+                (Hop::ToClient, Some(MsgTag::EncTensor)) if !spoiled => {
+                    spoiled = true;
+                    let mut reply: EncTensorMsg = from_frame(payload).expect("reply");
+                    match junk {
+                        FoldedJunk::WrongCount => {
+                            assert!(reply.folded, "the honest reply is folded");
+                            reply.cts.pop();
+                        }
+                        FoldedJunk::NoLayout => {
+                            assert!(!reply.folded, "no layout, so no flagged request");
+                            reply.folded = true;
+                        }
+                        FoldedJunk::UnaskedFold => assert!(reply.folded, "the server was asked"),
+                        FoldedJunk::SlotOutOfRange => {
+                            assert!(reply.folded);
+                            let pk = key.as_ref().expect("hello seen");
+                            let all_ones = pp_bigint::BigUint::from(u64::MAX);
+                            let forged = pk.encrypt(&all_ones, &mut StdRng::seed_from_u64(77));
+                            reply.cts[0] = Ciphertext::to_bytes(&forged);
+                        }
+                        FoldedJunk::WrongShape => {
+                            assert!(!reply.folded, "the request was past the bound");
+                            reply.shape = vec![reply.cts.len() as u64 + 1];
+                            reply.cts.push(reply.cts[0].clone());
+                        }
+                    }
+                    to_frame(&reply)
+                }
+                _ => payload,
+            }
+        });
+
+        let mut session =
+            NetworkedSession::connect(addr, scaled.clone(), &config).expect("connect via relay");
+        let layout = session.fold_layout();
+        assert_eq!(layout.is_some(), junk != FoldedJunk::NoLayout, "{junk:?}");
+        let mut inputs: Vec<Tensor<f64>> = (0..2)
+            .map(|i| Tensor::from_flat(vec![0.3 - 0.2 * i as f64, -0.4, 0.7, 0.2]))
+            .collect();
+        if matches!(junk, FoldedJunk::UnaskedFold | FoldedJunk::WrongShape) {
+            // Scaled past the bound: the client leaves this request
+            // unflagged (and `UnaskedFold`'s relay flags it behind its
+            // back).
+            let bound = layout.expect("layout").value_bound() as f64;
+            let past = (bound + 1000.0) / scaled.factor() as f64;
+            inputs[0] = Tensor::from_flat(vec![past, 0.0, 0.0, 0.0]);
+        }
+
+        let caught_at_decrypt =
+            matches!(junk, FoldedJunk::SlotOutOfRange | FoldedJunk::WrongShape);
+        match session.infer_stream_partial(&inputs) {
+            // Caught by the round trip's echo check: the call fails, as
+            // for any reply that is not an answer to its request.
+            Err(e) => {
+                assert!(!caught_at_decrypt, "{junk:?}: {e}");
+                assert!(e.to_string().contains("fold flag"), "{junk:?}: {e}");
+            }
+            // Caught at decryption: that item fails, the next is served.
+            Ok((outcomes, _)) => {
+                assert!(caught_at_decrypt, "{junk:?} accepted: {outcomes:?}");
+                assert!(
+                    matches!(
+                        &outcomes[0],
+                        ItemOutcome::Failed { kind: ItemErrorKind::CorruptReply, .. }
+                    ),
+                    "{:?}",
+                    outcomes[0]
+                );
+                let served = outcomes[1].output().expect("the untouched item completes");
+                assert_eq!(served.data(), reference(&inputs[1]).data());
+            }
+        }
+        // Bye ends the relayed connection on both sides.
+        session.shutdown();
+        relaying.join().expect("relay");
+    }
+
+    // Five hostile paths later the provider itself is untouched.
+    let input = Tensor::from_flat(vec![0.1, 0.2, -0.3, 0.4]);
+    let mut session = NetworkedSession::connect(server, scaled.clone(), &config).expect("connect");
+    let (got, report) = session.infer_stream(std::slice::from_ref(&input)).expect("honest stream");
+    assert_eq!(got[0].data(), reference(&input).data());
+    assert_eq!(report.transport.expect("transport").folded_rounds, 2);
+    assert!(session.shutdown().clean_shutdown);
+    assert_eq!(handle.shutdown().panicked_connections, 0);
 }

@@ -1,6 +1,9 @@
 //! Security-property integration tests for the guarantees of paper
 //! Sec. II-C: what each party (and an eavesdropper) can observe.
 
+mod common;
+
+use common::{relay, Hop};
 use pp_nn::{zoo, ScaledModel};
 use pp_obfuscate::distance_correlation;
 use pp_paillier::Keypair;
@@ -219,7 +222,6 @@ fn input_blinding_does_not_repeat_across_stream_calls() {
     // provider's socket is and records what the client sends.
     use pp_stream::messages::{peek_tag, MsgTag};
     use pp_stream::{ModelProvider, NetConfig, NetworkedSession, ServeOptions};
-    use pp_stream_runtime::tcp;
     use pp_stream_runtime::wire::from_frame;
     use std::net::TcpListener;
     use std::sync::Mutex;
@@ -234,31 +236,13 @@ fn input_blinding_does_not_repeat_across_stream_calls() {
         .expect("spawn server");
     let server = handle.addr();
 
-    let relay = TcpListener::bind("127.0.0.1:0").expect("bind relay");
-    let relay_addr = relay.local_addr().expect("relay addr");
     let requests: Arc<Mutex<Vec<EncTensorMsg>>> = Arc::default();
     let seen = Arc::clone(&requests);
-    let forwarding = std::thread::spawn(move || {
-        let (mut to_client, mut from_client) =
-            tcp::accept_on(&relay, &pp_stream_runtime::TcpConfig::new()).expect("accept");
-        let (mut to_server, mut from_server) = tcp::connect(server).expect("connect upstream");
-        let replies = std::thread::spawn(move || {
-            while let Ok(Some(frame)) = from_server.recv() {
-                if to_client.send(&frame).is_err() {
-                    break;
-                }
-            }
-        });
-        while let Ok(Some(frame)) = from_client.recv() {
-            if peek_tag(&frame.payload) == Some(MsgTag::EncTensor) {
-                seen.lock().unwrap().push(from_frame(frame.payload.clone()).expect("request"));
-            }
-            if to_server.send(&frame).is_err() {
-                break;
-            }
+    let (relay_addr, forwarding) = relay(server, move |hop, payload| {
+        if hop == Hop::ToServer && peek_tag(&payload) == Some(MsgTag::EncTensor) {
+            seen.lock().unwrap().push(from_frame(payload.clone()).expect("request"));
         }
-        drop(to_server);
-        replies.join().expect("reply relay");
+        payload
     });
 
     let mut session = NetworkedSession::connect(relay_addr, scaled, &config).expect("connect");
@@ -277,5 +261,136 @@ fn input_blinding_does_not_repeat_across_stream_calls() {
     assert_eq!(inputs[0].cts.len(), 6);
     for (k, (a, b)) in inputs[0].cts.iter().zip(&inputs[1].cts).enumerate() {
         assert_ne!(a, b, "input element {k} is blinded by the same factor in both calls");
+    }
+}
+
+/// A provider, a relay in front of it, and the frames a two-item stream
+/// put on the wire after the handshake — with `tap` free to rewrite
+/// requests on their way up. Also: the layout the session was announced
+/// and its keypair (a session derives its key from `config.seed`).
+fn folded_crossings(
+    tap: impl Fn(EncTensorMsg) -> EncTensorMsg + Send + 'static,
+) -> (Vec<(Hop, bytes::Bytes)>, pp_paillier::PackingSpec, Keypair) {
+    use pp_stream::messages::{peek_tag, MsgTag};
+    use pp_stream::{ModelProvider, NetConfig, NetworkedSession, ServeOptions};
+    use pp_stream_runtime::wire::{from_frame, to_frame};
+    use std::sync::Mutex;
+
+    let model = zoo::mlp("m", &[6, 8, 3], &mut StdRng::seed_from_u64(7)).expect("model");
+    let scaled = ScaledModel::from_model(&model, 1_000);
+    // Three 64-bit slots per ciphertext.
+    let config = NetConfig::small_test(256);
+    let provider = Arc::new(ModelProvider::new(&scaled, &config).expect("provider"));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = provider.serve_forever(listener, ServeOptions::default()).expect("spawn server");
+
+    let crossings: Arc<Mutex<Vec<(Hop, bytes::Bytes)>>> = Arc::default();
+    let seen = Arc::clone(&crossings);
+    let (relay_addr, forwarding) = relay(handle.addr(), move |hop, payload| {
+        let payload = match (hop, peek_tag(&payload)) {
+            (_, Some(MsgTag::Hello | MsgTag::Accept)) => return payload,
+            (Hop::ToServer, Some(MsgTag::EncTensor)) => {
+                to_frame(&tap(from_frame(payload).expect("request")))
+            }
+            _ => payload,
+        };
+        seen.lock().unwrap().push((hop, payload.clone()));
+        payload
+    });
+
+    let mut session = NetworkedSession::connect(relay_addr, scaled, &config).expect("connect");
+    let layout = session.fold_layout().expect("a 256-bit key folds this model");
+    let inputs: Vec<Tensor<f64>> = (0..2)
+        .map(|i| Tensor::from_flat(vec![0.1 * i as f64, -0.2, 0.3, 0.4, -0.5, 0.6]))
+        .collect();
+    session.infer_stream(&inputs).expect("stream");
+    assert!(session.shutdown().clean_shutdown);
+    forwarding.join().expect("relay");
+    handle.shutdown();
+
+    let keypair = Keypair::generate(config.key_bits, &mut StdRng::seed_from_u64(config.seed));
+    let crossings = std::mem::take(&mut *crossings.lock().unwrap());
+    (crossings, layout, keypair)
+}
+
+#[test]
+fn folded_traffic_is_still_nothing_but_ciphertext_tensors() {
+    // With replies folded, every frame after the handshake is, in both
+    // directions, a tensor of units mod n² (or an Ack / the Bye, which
+    // carry a count and nothing): slot-packing changed what a ciphertext
+    // encrypts, not what crosses.
+    use pp_stream::messages::{peek_tag, MsgTag};
+    use pp_stream_runtime::wire::from_frame;
+
+    let (crossings, layout, keypair) = folded_crossings(|request| request);
+    let pk = keypair.public();
+    let mut folded_replies = 0;
+    for (i, (hop, payload)) in crossings.iter().enumerate() {
+        match peek_tag(payload) {
+            Some(MsgTag::EncTensor) => {}
+            Some(MsgTag::Ack | MsgTag::Bye) if *hop == Hop::ToServer => continue,
+            other => panic!("crossing {i} ({hop:?}) is a {other:?} frame"),
+        }
+        let msg: EncTensorMsg = from_frame(payload.clone()).expect("tensor");
+        assert!(!msg.cts.is_empty());
+        for ct in &msg.cts {
+            let ct = pp_paillier::Ciphertext::from_bytes(ct);
+            assert!(pk.validate(&ct), "crossing {i} ({hop:?}) carries a non-unit");
+            assert!(ct.raw().bit_len() > 256, "crossing {i} carries a suspiciously small value");
+        }
+        if *hop == Hop::ToClient {
+            assert!(msg.folded, "every request was in bounds, so every reply is folded");
+            let elements: u64 = msg.shape.iter().product();
+            assert_eq!(msg.cts.len() as u64, elements.div_ceil(layout.slots as u64));
+            folded_replies += 1;
+        }
+    }
+    assert_eq!(folded_replies, 4, "two items, two linear rounds each");
+}
+
+#[test]
+fn a_folded_reply_shows_the_data_provider_what_the_unfolded_one_would() {
+    // The same stream twice under one seed (same key, same permutations):
+    // once as the client runs it, once with a relay clearing the `folded`
+    // flag off every request so the provider answers one ciphertext per
+    // output. What the data provider decrypts must be the same values in
+    // the same (permuted) order — folding moves the stage's outputs into
+    // slots and adds nothing: the bits above the last used slot are zero.
+    use pp_paillier::packing::PackedCiphertext;
+    use pp_stream_runtime::wire::from_frame;
+
+    let replies = |crossings: Vec<(Hop, bytes::Bytes)>| -> Vec<EncTensorMsg> {
+        crossings
+            .into_iter()
+            .filter(|(hop, _)| *hop == Hop::ToClient)
+            .map(|(_, payload)| from_frame(payload).expect("reply"))
+            .collect()
+    };
+    let (folded, layout, keypair) = folded_crossings(|request| request);
+    let (unfolded, _, _) = folded_crossings(|request| EncTensorMsg { folded: false, ..request });
+    let (folded, unfolded) = (replies(folded), replies(unfolded));
+    assert_eq!(folded.len(), 4);
+    assert_eq!(unfolded.len(), 4);
+
+    let (pk, sk) = (keypair.public(), keypair.private());
+    for (round, (f, u)) in folded.iter().zip(&unfolded).enumerate() {
+        assert!(f.folded && !u.folded, "round {round}");
+        assert_eq!((f.seq, &f.shape, f.obfuscated), (u.seq, &u.shape, u.obfuscated));
+        let want: Vec<i128> = u
+            .cts
+            .iter()
+            .map(|c| sk.decrypt_i128(&pp_paillier::Ciphertext::from_bytes(c)))
+            .collect();
+
+        let mut got = Vec::new();
+        for (run, bytes) in layout.fold_groups(want.len()).zip(&f.cts) {
+            let ct = pp_paillier::Ciphertext::from_bytes(bytes);
+            let spare = sk.decrypt(&ct).shr_bits(run.len() * layout.slot_bits);
+            assert!(spare.is_zero(), "round {round}: something rides above slot {}", run.len());
+            let group =
+                PackedCiphertext::from_parts(&pk, ct, layout, run.len(), layout.op_budget).unwrap();
+            got.extend(group.decrypt(&sk).unwrap().into_iter().map(i128::from));
+        }
+        assert_eq!(got, want, "round {round}: same values, same order");
     }
 }
